@@ -445,18 +445,11 @@ TransportBackendResult bench_transport_backend(net::BackendKind backend,
 }
 
 // ---------------------------------------------------------------------------
-// Varint codec: the unrolled fast paths against in-file replicas of the
-// original byte-at-a-time loops, on a wire-realistic value mix (mostly
-// 1-byte, a 2-byte tier, a tail of large values).
+// Varint decoding: Reader's unrolled fast path against an in-file replica
+// of the original byte-at-a-time loop, on a wire-realistic value mix
+// (mostly 1-byte, a 2-byte tier, a tail of large values). The encoder is
+// the plain loop itself, so there is nothing to compare it with.
 // ---------------------------------------------------------------------------
-
-void legacy_varint_encode(std::vector<std::byte>& buf, std::uint64_t v) {
-  while (v >= 0x80) {
-    buf.push_back(std::byte{static_cast<std::uint8_t>(v | 0x80)});
-    v >>= 7;
-  }
-  buf.push_back(std::byte{static_cast<std::uint8_t>(v)});
-}
 
 std::uint64_t legacy_varint_decode(std::span<const std::byte> data,
                                    std::size_t& pos, bool& ok) {
@@ -475,11 +468,8 @@ std::uint64_t legacy_varint_decode(std::span<const std::byte> data,
 }
 
 struct VarintResult {
-  double legacy_encode_mops = 0;
-  double fast_encode_mops = 0;
   double legacy_decode_mops = 0;
   double fast_decode_mops = 0;
-  double encode_speedup = 0;
   double decode_speedup = 0;
 };
 
@@ -502,28 +492,6 @@ VarintResult bench_varint(std::size_t iters) {
 
   VarintResult r;
   std::uint64_t sink = 0;
-  {
-    std::vector<std::byte> buf;
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < rounds; ++i) {
-      buf.clear();
-      for (std::uint64_t v : values) legacy_varint_encode(buf, v);
-      sink += buf.size();
-    }
-    r.legacy_encode_mops =
-        static_cast<double>(rounds * values.size()) / seconds_since(t0) / 1e6;
-  }
-  {
-    Writer w;
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < rounds; ++i) {
-      w.clear();
-      for (std::uint64_t v : values) w.varint(v);
-      sink += w.size();
-    }
-    r.fast_encode_mops =
-        static_cast<double>(rounds * values.size()) / seconds_since(t0) / 1e6;
-  }
   Writer encoded;
   for (std::uint64_t v : values) encoded.varint(v);
   {
@@ -550,7 +518,6 @@ VarintResult bench_varint(std::size_t iters) {
         static_cast<double>(rounds * values.size()) / seconds_since(t0) / 1e6;
   }
   if (sink == 0) std::fprintf(stderr, "unreachable\n");
-  r.encode_speedup = r.fast_encode_mops / r.legacy_encode_mops;
   r.decode_speedup = r.fast_decode_mops / r.legacy_decode_mops;
   return r;
 }
@@ -729,10 +696,7 @@ int main(int argc, char** argv) {
               cod.reused_mb_per_sec, cod.reused_allocs_per_msg, cod.speedup);
 
   const VarintResult vint = bench_varint(varint_ops);
-  std::printf("varint      encode legacy %7.1f Mops/s  fast %7.1f Mops/s  %.2fx\n",
-              vint.legacy_encode_mops, vint.fast_encode_mops,
-              vint.encode_speedup);
-  std::printf("            decode legacy %7.1f Mops/s  fast %7.1f Mops/s  %.2fx\n",
+  std::printf("varint      decode legacy %7.1f Mops/s  fast %7.1f Mops/s  %.2fx\n",
               vint.legacy_decode_mops, vint.fast_decode_mops,
               vint.decode_speedup);
 
@@ -841,9 +805,6 @@ int main(int argc, char** argv) {
   w.kv("encoded_bytes", cod.encoded_bytes);
   w.end_object();
   w.key("varint").begin_object();
-  w.kv("legacy_encode_mops", vint.legacy_encode_mops);
-  w.kv("fast_encode_mops", vint.fast_encode_mops);
-  w.kv("encode_speedup", vint.encode_speedup);
   w.kv("legacy_decode_mops", vint.legacy_decode_mops);
   w.kv("fast_decode_mops", vint.fast_decode_mops);
   w.kv("decode_speedup", vint.decode_speedup);

@@ -10,7 +10,7 @@ void BaseCast::on_rdeliver(Context& ctx, NodeId origin, const AmcastPayload& pay
     // Task 1: request a hard tentative timestamp from our group.
     buffer_.store_body(ctx, start->msg);
     stage(ctx, Tuple{TupleKind::kSetHard, cfg_.group, 0, start->msg.id,
-                     start->msg.dst});
+                     GroupSet(start->msg.dst)});
     return;
   }
   if (const auto* hard = std::get_if<AmSendHard>(&payload)) {

@@ -9,7 +9,7 @@
 
 namespace fastcast {
 
-void DeliveryBuffer::note_dst(MsgId mid, const std::vector<GroupId>& dst) {
+void DeliveryBuffer::note_dst(MsgId mid, GroupSet dst) {
   if (delivered_.contains(mid)) return;
   auto& pm = msgs_[mid];
   if (!pm.dst_known) {
@@ -23,7 +23,7 @@ void DeliveryBuffer::store_body(Context& ctx, const MulticastMessage& msg) {
   auto& pm = msgs_[msg.id];
   if (!pm.body.has_value()) {
     pm.body = msg;
-    note_dst(msg.id, msg.dst);
+    note_dst(msg.id, GroupSet(msg.dst));
     if (storage::NodeStorage* st = ctx.storage()) {
       // Persist the payload: after the origin's retransmission settles,
       // replaying this record is the only way a restarted node can still
@@ -57,7 +57,7 @@ void DeliveryBuffer::restore_body(const MulticastMessage& msg) {
   if (!pm.body.has_value()) {
     pm.body = msg;
     if (!pm.dst_known) {
-      pm.dst = msg.dst;
+      pm.dst = GroupSet(msg.dst);
       pm.dst_known = true;
     }
   }
@@ -139,7 +139,7 @@ void DeliveryBuffer::try_form_final(Context& ctx, MsgId mid, PerMessage& pm) {
   std::size_t hard_seen = 0;
   for (const Entry& e : pm.entries) {
     if (e.kind != EntryKind::kSyncHard) continue;
-    FC_ASSERT_MSG(std::find(pm.dst.begin(), pm.dst.end(), e.group) != pm.dst.end(),
+    FC_ASSERT_MSG(pm.dst.contains(e.group),
                   "SYNC-HARD from a non-destination group");
     max_ts = std::max(max_ts, e.ts);
     ++hard_seen;

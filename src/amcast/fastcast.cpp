@@ -13,7 +13,7 @@ void FastCast::on_rdeliver(Context& ctx, NodeId origin, const AmcastPayload& pay
     // Task 1.
     buffer_.store_body(ctx, start->msg);
     stage(ctx, Tuple{TupleKind::kSetHard, cfg_.group, 0, start->msg.id,
-                     start->msg.dst});
+                     GroupSet(start->msg.dst)});
     return;
   }
   if (const auto* soft = std::get_if<AmSendSoft>(&payload)) {

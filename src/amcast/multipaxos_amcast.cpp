@@ -14,9 +14,7 @@ bool addressed_to(const MulticastMessage& msg, GroupId g) {
   return std::find(msg.dst.begin(), msg.dst.end(), g) != msg.dst.end();
 }
 
-bool addressed_to(const MpIdRecord& rec, GroupId g) {
-  return std::find(rec.dst.begin(), rec.dst.end(), g) != rec.dst.end();
-}
+bool addressed_to(const MpIdRecord& rec, GroupId g) { return rec.dst.contains(g); }
 
 }  // namespace
 
@@ -30,8 +28,7 @@ MultiPaxosAmcast::MultiPaxosAmcast(Config config, NodeId self)
 }
 
 void MultiPaxosAmcast::restore_durable(const storage::DurableState& durable) {
-  const auto it = durable.groups.find(cfg_.consensus.group);
-  cons_.restore_durable(it == durable.groups.end() ? nullptr : &it->second);
+  cons_.restore_durable(durable);
   // Re-decided batches replayed by consensus catch-up must not re-deliver.
   delivered_.insert(durable.delivered.begin(), durable.delivered.end());
   if (cfg_.ordering != Config::Ordering::kIds) return;
@@ -107,7 +104,7 @@ void MultiPaxosAmcast::on_submit(Context& ctx, const MulticastMessage& msg) {
     disseminate(ctx, msg);
     store_body(ctx, msg);  // the leader's copy serves pull requests
     if (staged_ids_.empty()) first_staged_at_ = ctx.now();
-    staged_ids_.push_back(MpIdRecord{msg.id, msg.sender, msg.dst});
+    staged_ids_.push_back(MpIdRecord{msg.id, msg.sender, GroupSet(msg.dst)});
     staged_at_.push_back(ctx.now());
     flush(ctx);
     return;
@@ -182,10 +179,11 @@ bool MultiPaxosAmcast::admit_submission(Context& ctx, const MulticastMessage& ms
 
 void MultiPaxosAmcast::disseminate(Context& ctx, const MulticastMessage& msg) {
   std::uint64_t copies = 0;
+  const Message body{MpBody{msg}};  // one copy for the whole fan-out
   for (GroupId g : msg.dst) {
     for (NodeId n : ctx.membership().members(g)) {
       if (n == ctx.self()) continue;
-      ctx.send(n, Message{MpBody{msg}});
+      ctx.send(n, body);
       ++copies;
     }
   }

@@ -53,8 +53,8 @@ TimestampProtocolBase::TimestampProtocolBase(Config config, NodeId self)
 }
 
 void TimestampProtocolBase::restore_durable(const storage::DurableState& durable) {
+  cons_.restore_durable(durable);
   const auto it = durable.groups.find(cfg_.consensus.group);
-  cons_.restore_durable(it == durable.groups.end() ? nullptr : &it->second);
   if (it != durable.groups.end()) {
     // The learner resumes at the durable settled frontier; instances below
     // it are never replayed, so CH must jump to the recorded clock bound or

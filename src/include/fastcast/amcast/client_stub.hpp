@@ -51,7 +51,7 @@ class GenuineClientStub final : public ClientStub {
       o->trace(msg.id, obs::SpanEventKind::kMcast, ctx.self(), kNoGroup,
                ctx.now(), static_cast<std::uint32_t>(msg.dst.size()));
     }
-    rm_.multicast(ctx, msg.dst, AmStart{msg});
+    rm_.multicast(ctx, GroupSet(msg.dst), AmStart{msg});
   }
   bool handle(Context& ctx, NodeId from, const Message& msg) override {
     return rm_.handle(ctx, from, msg);

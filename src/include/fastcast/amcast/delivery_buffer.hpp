@@ -47,7 +47,7 @@ class DeliveryBuffer {
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
   /// Records the destination set of a message (idempotent).
-  void note_dst(MsgId mid, const std::vector<GroupId>& dst);
+  void note_dst(MsgId mid, GroupSet dst);
 
   /// Stores the application message carried by START; may unblock delivery.
   /// With storage present the body is also WAL-logged (kBody): once the
@@ -97,7 +97,7 @@ class DeliveryBuffer {
   };
 
   struct PerMessage {
-    std::vector<GroupId> dst;
+    GroupSet dst;
     bool dst_known = false;
     std::optional<MulticastMessage> body;
     std::vector<Entry> entries;

@@ -151,7 +151,7 @@ class TimestampProtocolBase : public AtomicMulticast {
   std::map<TupleId, Tuple> unordered_;  // ToOrder \ Ordered
   std::vector<TupleId> staged_;        // to include in the next proposal
   /// Decided-but-not-yet-settled own hard timestamps, for leader resend.
-  std::map<MsgId, std::pair<Ts, std::vector<GroupId>>> hard_pending_;
+  std::map<MsgId, std::pair<Ts, GroupSet>> hard_pending_;
   /// Settled tracking: an instance is settled once every message its
   /// tuples touch is locally delivered (the delivered-set dedup then makes
   /// every replayed side effect a no-op; CH advancement is covered by the

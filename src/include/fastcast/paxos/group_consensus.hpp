@@ -55,18 +55,22 @@ class GroupConsensus {
   /// via restore_durable() first.
   void on_recover(Context& ctx);
 
-  /// Installs WAL-recovered acceptor state into a fresh instance (null =
-  /// nothing was recovered for this group). Also marks the engine as
+  /// Installs the WAL-recovered state of this engine's group (promises,
+  /// accepted values, settled frontier) into a fresh instance. When the
+  /// node's storage held any state at all, the engine is also marked
   /// storage-recovered: learner/proposer state is *not* durable, so
   /// catch-up polling is armed even over reliable links to relearn decided
-  /// instances from the acceptors. When the recovered state shows a prior
-  /// incarnation was active, the constructor's pre-promised stable
-  /// leadership no longer applies: on_start/on_recover re-run Phase 1 at a
-  /// round strictly above every ballot the dead incarnation can have
-  /// externalized (the promise quorum reveals its accepted instances, which
-  /// are re-driven before anything new — resuming at the old ballot with
-  /// reset instance tracking would overwrite slots peers already decided).
-  void restore_durable(const storage::DurableState::GroupState* durable);
+  /// instances from the acceptors. That includes a pure learner, which
+  /// keeps no acceptor state for the group but still missed decisions
+  /// while it was down. An empty state is a cold start and arms nothing.
+  /// When the recovered group state shows a prior incarnation was active,
+  /// the constructor's pre-promised stable leadership no longer applies:
+  /// on_start/on_recover re-run Phase 1 at a round strictly above every
+  /// ballot the dead incarnation can have externalized (the promise quorum
+  /// reveals its accepted instances, which are re-driven before anything
+  /// new — resuming at the old ballot with reset instance tracking would
+  /// overwrite slots peers already decided).
+  void restore_durable(const storage::DurableState& durable);
 
   /// Queues a value for some instance. Only acts on the current leader.
   void propose(Context& ctx, std::vector<std::byte> value);
@@ -121,7 +125,7 @@ class GroupConsensus {
   NodeId self_;
   Context* ctx_ = nullptr;  ///< bound at on_start; contexts outlive processes
   bool catch_up_armed_ = false;  ///< exactly one catch-up chain pending
-  bool recovered_from_storage_ = false;  ///< fresh instance fed by restore_durable
+  bool recovered_from_storage_ = false;  ///< restore_durable found state
   bool must_reestablish_ = false;  ///< durable past: Phase 1 before proposing
   std::uint32_t recover_round_ = 2;  ///< first safe round after a restart
   std::uint32_t catch_up_backoff_ = 1;      ///< retry_interval multiplier

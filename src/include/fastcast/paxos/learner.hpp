@@ -59,13 +59,18 @@ class Learner {
     std::vector<std::byte> value;  // value at `ballot`
   };
 
+  /// Hands a decision for next_deliver_ to decide_ (then any parked
+  /// successors it unblocks); parks one that arrived ahead of a gap.
+  void decided(Context& ctx, InstanceId inst, std::vector<std::byte> value);
   void drain(Context& ctx);
 
   std::size_t quorum_;
   DecideFn decide_;
   DecidedObserverFn observer_;
   std::map<InstanceId, VoteState> votes_;
-  std::map<InstanceId, std::vector<std::byte>> decided_;  // not yet delivered
+  /// Decisions that arrived ahead of next_deliver_; an in-order decision
+  /// goes straight to decide_.
+  std::map<InstanceId, std::vector<std::byte>> decided_;
   InstanceId next_deliver_ = 0;
 };
 

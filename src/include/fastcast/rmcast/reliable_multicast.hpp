@@ -68,8 +68,7 @@ class ReliableMulticast {
   }
 
   /// r-multicast(inner) to every member of every group in `dst`.
-  void multicast(Context& ctx, const std::vector<GroupId>& dst,
-                 AmcastPayload inner);
+  void multicast(Context& ctx, GroupSet dst, AmcastPayload inner);
 
   /// Starts the retransmission timer when links are lossy.
   void on_start(Context& ctx);
@@ -106,6 +105,8 @@ class ReliableMulticast {
 
   void on_data(Context& ctx, NodeId from, const RmData& data);
   void deliver_frame(Context& ctx, const RmData& frame);
+  /// Delivers parked frames of `origin` while they continue the FIFO order.
+  void drain_holdback(Context& ctx, NodeId origin);
   void relay(Context& ctx, const RmData& data);
   void arm_retransmit(Context& ctx);
 

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "fastcast/runtime/group_set.hpp"
 #include "fastcast/runtime/ids.hpp"
 
 /// \file membership.hpp
@@ -16,7 +17,8 @@ namespace fastcast {
 class Membership {
  public:
   /// Adds a replica group; returns its GroupId. `regions[i]` is the region
-  /// of the i-th member. Member 0 is the conventional initial leader.
+  /// of the i-th member. Member 0 is the conventional initial leader. At
+  /// most GroupSet::kMaxGroups (64) groups exist.
   GroupId add_group(std::size_t replicas, const std::vector<RegionId>& regions);
 
   /// Adds a client node in `region`; returns its NodeId.
@@ -42,9 +44,9 @@ class Membership {
   std::vector<NodeId> all_nodes() const;
   std::vector<NodeId> all_replicas() const;
 
-  /// Flattens the members of `dst` groups into one node list (no duplicates
-  /// because groups are disjoint).
-  std::vector<NodeId> nodes_of_groups(const std::vector<GroupId>& dst) const;
+  /// Flattens the members of `dst` groups into one node list, in ascending
+  /// group order (no duplicates because groups are disjoint).
+  std::vector<NodeId> nodes_of_groups(GroupSet dst) const;
 
  private:
   std::vector<std::vector<NodeId>> groups_;

@@ -7,6 +7,7 @@
 
 #include "fastcast/common/codec.hpp"
 #include "fastcast/common/time.hpp"
+#include "fastcast/runtime/group_set.hpp"
 #include "fastcast/runtime/ids.hpp"
 
 /// \file message.hpp
@@ -70,7 +71,7 @@ struct Tuple {
   GroupId group = kNoGroup;  ///< h — the group this timestamp belongs to
   Ts ts = 0;                 ///< x — tentative timestamp (0 = ⊥ for SET-HARD)
   MsgId mid = 0;
-  std::vector<GroupId> dst;
+  GroupSet dst;
 
   friend bool operator==(const Tuple&, const Tuple&) = default;
 };
@@ -102,7 +103,7 @@ struct AmSendSoft {
   GroupId from_group = kNoGroup;
   Ts ts = 0;
   MsgId mid = 0;
-  std::vector<GroupId> dst;
+  GroupSet dst;
 };
 
 /// (SEND-HARD, h, x, m): group h's hard tentative timestamp.
@@ -110,7 +111,7 @@ struct AmSendHard {
   GroupId from_group = kNoGroup;
   Ts ts = 0;
   MsgId mid = 0;
-  std::vector<GroupId> dst;
+  GroupSet dst;
 };
 
 using AmcastPayload = std::variant<AmStart, AmSendSoft, AmSendHard>;
@@ -134,7 +135,7 @@ inline MsgId mid_of(const AmcastPayload& p) {
 struct RmData {
   NodeId origin = kInvalidNode;
   std::uint64_t seq = 0;
-  std::vector<GroupId> dst_groups;
+  GroupSet dst_groups;
   std::vector<NodeId> dest_nodes;          ///< parallel to dest_seqs
   std::vector<std::uint64_t> dest_seqs;
   AmcastPayload inner;
@@ -233,7 +234,7 @@ struct MpBodyRequest {
 struct MpIdRecord {
   MsgId mid = 0;
   NodeId sender = kInvalidNode;
-  std::vector<GroupId> dst;
+  GroupSet dst;
 
   friend bool operator==(const MpIdRecord&, const MpIdRecord&) = default;
 };

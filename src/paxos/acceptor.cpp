@@ -56,12 +56,7 @@ void Acceptor::on_p2a(Context& ctx, NodeId from, const P2a& msg) {
   promised_ = msg.ballot;
   accepted_[msg.instance] = AcceptedValue{msg.ballot, msg.value};
 
-  P2b vote;
-  vote.group = group_;
-  vote.ballot = msg.ballot;
-  vote.instance = msg.instance;
-  vote.acceptor = ctx.self();
-  vote.value = msg.value;
+  Message vote{P2b{group_, msg.ballot, msg.instance, ctx.self(), msg.value}};
 
   if (storage::NodeStorage* st = ctx.storage()) {
     // An accept record implies the promise (DurableState::apply), so one
@@ -70,11 +65,11 @@ void Acceptor::on_p2a(Context& ctx, NodeId from, const P2a& msg) {
         st->log_accept(group_, msg.instance, msg.ballot, msg.value);
     st->when_durable(
         lsn, [c = &ctx, learners = learners_, vote = std::move(vote)]() {
-          for (NodeId learner : learners) c->send(learner, Message{vote});
+          for (NodeId learner : learners) c->send(learner, vote);
         });
     st->commit();
   } else {
-    for (NodeId learner : learners_) ctx.send(learner, Message{vote});
+    for (NodeId learner : learners_) ctx.send(learner, vote);
   }
 }
 

@@ -102,24 +102,27 @@ bool GroupConsensus::is_member(NodeId n) const {
          config_.members.end();
 }
 
-void GroupConsensus::restore_durable(
-    const storage::DurableState::GroupState* durable) {
-  recovered_from_storage_ = true;
-  if (durable == nullptr) return;  // cold start: stable-leader fast path holds
-  acceptor_.restore(*durable);
+void GroupConsensus::restore_durable(const storage::DurableState& state) {
+  // Cold start (empty storage): nothing was decided that this node could
+  // have missed, so no catch-up poll, and the stable-leader fast path holds.
+  recovered_from_storage_ = !state.empty();
+  const auto it = state.groups.find(config_.group);
+  if (it == state.groups.end()) return;  // e.g. a pure learner of the group
+  const storage::DurableState::GroupState& durable = it->second;
+  acceptor_.restore(durable);
   // Resume learning at the durable settled frontier: every skipped
   // instance is fully reflected in the durable delivered set (that is what
   // "settled" means), and below the group's prune floor — which the
   // announced settled frontier bounds from above — no peer retains the
   // entries to relearn anyway.
-  learner_.set_start(durable->settled);
-  if (repair_) repair_->restore_durable_settled(durable->settled);
+  learner_.set_start(durable.settled);
+  if (repair_) repair_->restore_durable_settled(durable.settled);
   must_reestablish_ = true;
   // Every ballot the dead incarnation externalized is covered by a durable
   // promise record (acceptor replies and proposer P1a sends are both gated
   // on one), so promised.round is an upper bound on the wire history.
-  std::uint32_t round = durable->promised.round;
-  for (const auto& [inst, acc] : durable->accepted) {
+  std::uint32_t round = durable.promised.round;
+  for (const auto& [inst, acc] : durable.accepted) {
     round = std::max(round, acc.ballot.round);
   }
   recover_round_ = std::max<std::uint32_t>(round + 1, 2);
@@ -146,7 +149,12 @@ void GroupConsensus::on_recover(Context& ctx) {
   if (is_member(self_)) proposer_.on_recover(ctx);
   if (repair_) repair_->on_recover(ctx);
   catch_up_armed_ = false;
-  if (!config_.reliable_links || recovered_from_storage_) arm_catch_up(ctx);
+  // With storage, a restart always relearns: even a node whose log was
+  // still empty at the crash missed every decision made while it was down.
+  if (!config_.reliable_links || recovered_from_storage_ ||
+      ctx.storage() != nullptr) {
+    arm_catch_up(ctx);
+  }
   reestablish_leadership(ctx);
 }
 

@@ -34,8 +34,7 @@ void Learner::on_p2b(Context& ctx, const P2b& msg) {
   std::vector<std::byte> value = std::move(state.value);
   votes_.erase(msg.instance);
   if (observer_) observer_(msg.instance, value);
-  decided_.emplace(msg.instance, std::move(value));
-  drain(ctx);
+  decided(ctx, msg.instance, std::move(value));
 }
 
 void Learner::set_start(InstanceId start) {
@@ -50,9 +49,20 @@ bool Learner::force_decided(Context& ctx, InstanceId inst,
   if (is_decided(inst)) return false;
   votes_.erase(inst);
   if (observer_) observer_(inst, value);
-  decided_.emplace(inst, value);
-  drain(ctx);
+  decided(ctx, inst, value);
   return true;
+}
+
+void Learner::decided(Context& ctx, InstanceId inst,
+                      std::vector<std::byte> value) {
+  if (inst != next_deliver_) {
+    decided_.emplace(inst, std::move(value));
+    return;
+  }
+  // In order: straight to the upcall, no detour through decided_.
+  ++next_deliver_;
+  if (decide_) decide_(inst, value);
+  drain(ctx);
 }
 
 void Learner::drain(Context&) {

@@ -100,7 +100,8 @@ void Proposer::propose(Context& ctx, std::vector<std::byte> value) {
 
 void Proposer::open_instance(Context& ctx, InstanceId inst,
                              std::vector<std::byte> value) {
-  P2a accept{config_.group, ballot_, inst, value};
+  const Message accept{P2a{config_.group, ballot_, inst, value}};
+  const std::size_t value_bytes = value.size();
   in_flight_.emplace(inst, std::move(value));
   if (auto* o = ctx.obs()) {
     // Pipeline depth: how many consensus instances this proposer keeps in
@@ -110,9 +111,9 @@ void Proposer::open_instance(Context& ctx, InstanceId inst,
     o->metrics.gauge("paxos.pipeline.in_flight")
         .record_max(static_cast<std::int64_t>(in_flight_.size()));
     o->metrics.histogram("paxos.pipeline.value_bytes")
-        .observe(static_cast<std::int64_t>(accept.value.size()));
+        .observe(static_cast<std::int64_t>(value_bytes));
   }
-  for (NodeId a : config_.acceptors) ctx.send(a, Message{accept});
+  for (NodeId a : config_.acceptors) ctx.send(a, accept);
   arm_retry(ctx);
 }
 
@@ -160,8 +161,8 @@ void Proposer::arm_retry(Context& ctx) {
       for (NodeId a : config_.acceptors) ctx.send(a, Message{prepare});
     } else if (phase_ == Phase::kSteady) {
       for (const auto& [inst, value] : in_flight_) {
-        P2a accept{config_.group, ballot_, inst, value};
-        for (NodeId a : config_.acceptors) ctx.send(a, Message{accept});
+        const Message accept{P2a{config_.group, ballot_, inst, value}};
+        for (NodeId a : config_.acceptors) ctx.send(a, accept);
       }
     }
     if (!config_.reliable_links) arm_retry(ctx);

@@ -28,17 +28,19 @@ void ReliableMulticast::restore(const storage::DurableState& durable) {
   }
 }
 
-void ReliableMulticast::multicast(Context& ctx, const std::vector<GroupId>& dst,
+void ReliableMulticast::multicast(Context& ctx, GroupSet dst,
                                   AmcastPayload inner) {
   FC_ASSERT_MSG(!dst.empty(), "multicast needs at least one destination group");
-  const std::vector<NodeId> dests = ctx.membership().nodes_of_groups(dst);
-
-  RmData frame;
+  // One Message for the whole fan-out: only `seq` differs between the
+  // copies, so it is patched before each send instead of building (and
+  // deep-copying) a frame per destination.
+  Message msg{RmData{}};
+  RmData& frame = std::get<RmData>(msg.payload);
   frame.origin = ctx.self();
   frame.dst_groups = dst;
-  frame.dest_nodes = dests;
-  frame.dest_seqs.reserve(dests.size());
-  for (NodeId d : dests) {
+  frame.dest_nodes = ctx.membership().nodes_of_groups(dst);
+  frame.dest_seqs.reserve(frame.dest_nodes.size());
+  for (NodeId d : frame.dest_nodes) {
     auto [it, inserted] = next_seq_.try_emplace(d, 1);
     (void)inserted;
     frame.dest_seqs.push_back(it->second++);
@@ -46,32 +48,29 @@ void ReliableMulticast::multicast(Context& ctx, const std::vector<GroupId>& dst,
   frame.inner = std::move(inner);
 
   storage::NodeStorage* st = ctx.storage();
-  for (std::size_t i = 0; i < dests.size(); ++i) {
+  for (std::size_t i = 0; i < frame.dest_nodes.size(); ++i) {
+    const NodeId to = frame.dest_nodes[i];
     frame.seq = frame.dest_seqs[i];
     if (st != nullptr) {
       // Log the seq advance (a restarted origin must never reuse it) plus
       // the staged frame when retransmission needs it, and gate the send:
       // a frame that hits the wire is always reconstructible from disk.
-      storage::Lsn lsn = st->log_rm_next_seq(dests[i], next_seq_[dests[i]]);
+      storage::Lsn lsn = st->log_rm_next_seq(to, next_seq_[to]);
       if (!config_.reliable_links) {
         stage_scratch_.clear();
-        encode_message_into(Message{frame}, stage_scratch_);
-        lsn = st->log_rm_stage(dests[i], frame.seq, stage_scratch_);
+        encode_message_into(msg, stage_scratch_);
+        lsn = st->log_rm_stage(to, frame.seq, stage_scratch_);
         // The staged copy carries the same gate so the retransmit timer
         // cannot leak the frame onto the wire before the seq advance is
         // durable either.
-        unacked_.emplace(std::make_pair(dests[i], frame.seq),
-                         Staged{frame, lsn});
+        unacked_.emplace(std::make_pair(to, frame.seq), Staged{frame, lsn});
       }
-      st->when_durable(lsn, [c = &ctx, to = dests[i], frame]() {
-        c->send(to, Message{frame});
-      });
+      st->when_durable(lsn, [c = &ctx, to, copy = msg]() { c->send(to, copy); });
     } else {
       if (!config_.reliable_links) {
-        unacked_.emplace(std::make_pair(dests[i], frame.seq),
-                         Staged{frame, 0});
+        unacked_.emplace(std::make_pair(to, frame.seq), Staged{frame, 0});
       }
-      ctx.send(dests[i], Message{frame});
+      ctx.send(to, msg);
     }
   }
   if (st != nullptr) st->commit();
@@ -162,6 +161,14 @@ void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
   }
 
   if (data.seq < origin.next_expected) return;  // duplicate
+  if (st == nullptr && data.seq == origin.next_expected) {
+    // The common case: the next frame in FIFO order. Deliver it straight
+    // from the received message, then release any successors it unblocks.
+    ++origin.next_expected;
+    deliver_frame(ctx, data);
+    drain_holdback(ctx, data.origin);
+    return;
+  }
   if (origin.holdback.contains(data.seq)) return;
 
   origin.holdback.emplace(data.seq, data);
@@ -169,6 +176,7 @@ void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
     o->metrics.gauge("rmcast.holdback_max")
         .record_max(static_cast<std::int64_t>(holdback_size()));
   }
+  if (st == nullptr) return;  // out of order: parked until the gap fills
 
   // Drain contiguous prefix in FIFO order.
   std::vector<RmData> drained;
@@ -180,11 +188,6 @@ void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
     ++origin.next_expected;
   }
   if (drained.empty()) return;
-
-  if (st == nullptr) {
-    for (const RmData& frame : drained) deliver_frame(ctx, frame);
-    return;
-  }
 
   // Log the new FIFO floor and gate every externalization — relays, the
   // delivery upcall (whose downstream effects include sends), and the ack
@@ -211,14 +214,29 @@ void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
   st->commit();
 }
 
+void ReliableMulticast::drain_holdback(Context& ctx, NodeId origin_id) {
+  while (true) {
+    // Looked up afresh on every step: the delivery upcall may re-enter and
+    // rehash origins_.
+    OriginState& origin = origins_[origin_id];
+    auto it = origin.holdback.find(origin.next_expected);
+    if (it == origin.holdback.end()) return;
+    const RmData frame = std::move(it->second);
+    origin.holdback.erase(it);
+    ++origin.next_expected;
+    deliver_frame(ctx, frame);
+  }
+}
+
 void ReliableMulticast::relay(Context& ctx, const RmData& data) {
   FC_ASSERT(data.dest_nodes.size() == data.dest_seqs.size());
+  Message msg{data};
+  RmData& copy = std::get<RmData>(msg.payload);
   for (std::size_t i = 0; i < data.dest_nodes.size(); ++i) {
     const NodeId dest = data.dest_nodes[i];
     if (dest == ctx.self()) continue;
-    RmData copy = data;
     copy.seq = data.dest_seqs[i];
-    ctx.send(dest, Message{std::move(copy)});
+    ctx.send(dest, msg);
   }
 }
 

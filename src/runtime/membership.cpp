@@ -7,6 +7,8 @@ namespace fastcast {
 GroupId Membership::add_group(std::size_t replicas, const std::vector<RegionId>& regions) {
   FC_ASSERT_MSG(replicas >= 1, "a group needs at least one replica");
   FC_ASSERT_MSG(regions.size() == replicas, "one region per replica required");
+  FC_ASSERT_MSG(groups_.size() < GroupSet::kMaxGroups,
+                "destination sets are GroupSets: at most 64 groups");
   const auto g = static_cast<GroupId>(groups_.size());
   std::vector<NodeId> members;
   members.reserve(replicas);
@@ -62,8 +64,11 @@ std::vector<NodeId> Membership::all_replicas() const {
   return out;
 }
 
-std::vector<NodeId> Membership::nodes_of_groups(const std::vector<GroupId>& dst) const {
+std::vector<NodeId> Membership::nodes_of_groups(GroupSet dst) const {
+  std::size_t total = 0;
+  for (GroupId g : dst) total += members(g).size();
   std::vector<NodeId> out;
+  out.reserve(total);
   for (GroupId g : dst) {
     const auto& m = members(g);
     out.insert(out.end(), m.begin(), m.end());

@@ -43,6 +43,28 @@ bool decode_groups(Reader& r, std::vector<GroupId>& out) {
   return r.ok();
 }
 
+// A GroupSet travels exactly like an ascending group list, so the bytes do
+// not depend on which of the two representations the sender held.
+void encode_groups(Writer& w, GroupSet gs) {
+  w.varint(gs.size());
+  for (GroupId g : gs) w.varint(g);
+}
+
+/// Accepts only what encode_groups(GroupSet) emits: ids below kMaxGroups in
+/// strictly ascending order (no duplicates).
+bool decode_groups(Reader& r, GroupSet& out) {
+  const std::uint64_t n = r.varint();
+  if (!r.ok() || n > GroupSet::kMaxGroups) return false;
+  out = GroupSet{};
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t g = r.varint();
+    if (!r.ok() || g >= GroupSet::kMaxGroups) return false;
+    if ((out.mask() >> g) != 0) return false;  // not above every earlier id
+    out.insert(static_cast<GroupId>(g));
+  }
+  return true;
+}
+
 void encode_ballot(Writer& w, const Ballot& b) {
   w.u32(b.round);
   w.u32(b.node);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fastcast/common/rng.hpp"
 #include "fastcast/runtime/message.hpp"
 
@@ -389,6 +391,94 @@ TEST(MessageCodec, StampedFrameTruncationAndBackwardCompat) {
       EXPECT_FALSE(ok) << "cut " << cut;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// GroupSet on the wire: a varint count then the ids in ascending order —
+// the same bytes an ascending std::vector<GroupId> produced — and nothing
+// else decodes.
+
+/// A Tuple frame whose destination list is given verbatim.
+std::vector<std::byte> tuple_bytes(std::uint64_t count,
+                                   const std::vector<std::uint64_t>& ids) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(TupleKind::kSyncHard));
+  w.varint(2);                     // group
+  w.varint(300);                   // ts
+  w.u64(make_msg_id(4, 9));        // mid
+  w.varint(count);
+  for (std::uint64_t g : ids) w.varint(g);
+  return w.take();
+}
+
+TEST(MessageCodec, GroupSetEncodesAsAscendingList) {
+  const Tuple t{TupleKind::kSyncHard, 2, 300, make_msg_id(4, 9),
+                {63, 0, 17, 5}};
+  Writer w;
+  encode(w, t);
+  EXPECT_EQ(w.data(), tuple_bytes(4, {0, 5, 17, 63}));
+
+  Reader r(w.data());
+  Tuple out;
+  ASSERT_TRUE(decode(r, out));
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(out, t);
+  Writer again;
+  encode(again, out);
+  EXPECT_EQ(again.data(), w.data());  // byte-identical round trip
+}
+
+TEST(MessageCodec, GroupSetMatchesVectorEncodingOfTheSameGroups) {
+  // MulticastMessage keeps a std::vector destination list; for an
+  // ascending list both representations must put the same bytes on the
+  // wire (AmStart and SEND-HARD frames describe the same destinations).
+  MulticastMessage m;
+  m.dst = {1, 2, 40};
+  Writer as_vector;
+  encode(as_vector, m);
+  // id u64 + sender u32 precede the list; an empty payload string follows.
+  const std::span<const std::byte> vec_list(as_vector.data().data() + 12,
+                                            as_vector.size() - 13);
+  Writer as_set;
+  encode(as_set, Tuple{TupleKind::kSetHard, 0, 0, 0, GroupSet(m.dst)});
+  const std::span<const std::byte> set_list(as_set.data().data() + 11,
+                                            as_set.size() - 11);
+  EXPECT_TRUE(std::equal(vec_list.begin(), vec_list.end(), set_list.begin(),
+                         set_list.end()));
+}
+
+TEST(MessageCodec, GroupSetDecodeRejectsMalformedLists) {
+  auto decodes = [](const std::vector<std::byte>& bytes) {
+    Reader r(bytes);
+    Tuple out;
+    return decode(r, out) && r.at_end();
+  };
+  EXPECT_TRUE(decodes(tuple_bytes(0, {})));
+  EXPECT_TRUE(decodes(tuple_bytes(3, {0, 1, 63})));
+  EXPECT_FALSE(decodes(tuple_bytes(1, {64})));         // id beyond the mask
+  EXPECT_FALSE(decodes(tuple_bytes(2, {3, 1000})));
+  EXPECT_FALSE(decodes(tuple_bytes(2, {4, 4})));       // duplicate
+  EXPECT_FALSE(decodes(tuple_bytes(3, {1, 5, 5})));
+  EXPECT_FALSE(decodes(tuple_bytes(2, {5, 2})));       // descending
+  EXPECT_FALSE(decodes(tuple_bytes(65, {})));          // count beyond 64
+  EXPECT_FALSE(decodes(tuple_bytes(2, {1})));          // truncated
+
+  // The same checks guard every GroupSet field: RmData::dst_groups here.
+  RmData d;
+  d.origin = 1;
+  d.seq = 1;
+  d.dst_groups = {0, 1};
+  d.inner = AmSendHard{0, 5, make_msg_id(1, 1), {0, 1}};
+  std::vector<std::byte> bytes = encode_message(Message{d});
+  Message out;
+  ASSERT_TRUE(decode_message(bytes, out));
+  // The dst_groups list {count 2, 0, 1} follows the tag byte, origin u32
+  // and seq u64; swap it into a descending list.
+  ASSERT_EQ(bytes[13], std::byte{2});
+  ASSERT_EQ(bytes[14], std::byte{0});
+  ASSERT_EQ(bytes[15], std::byte{1});
+  std::swap(bytes[14], bytes[15]);
+  EXPECT_FALSE(decode_message(bytes, out));
 }
 
 }  // namespace

@@ -118,10 +118,10 @@ TEST(MessageMinimality, WireSizeGrowsWithGroupsNotProcesses) {
   // number of processes per group beyond the 3-replicas-per-group factor
   // the rmcast envelope carries (size ∝ k, never ∝ |Π|).
   auto encoded_size = [](std::size_t k_groups) {
-    std::vector<GroupId> dst(k_groups);
+    GroupSet dst;
     std::vector<NodeId> dest_nodes(3 * k_groups);
     std::vector<std::uint64_t> dest_seqs(3 * k_groups, 1);
-    for (std::size_t i = 0; i < k_groups; ++i) dst[i] = static_cast<GroupId>(i);
+    for (std::size_t i = 0; i < k_groups; ++i) dst.insert(static_cast<GroupId>(i));
     for (std::size_t i = 0; i < dest_nodes.size(); ++i) {
       dest_nodes[i] = static_cast<NodeId>(i);
     }

@@ -1,6 +1,10 @@
-// Membership / deployment-description tests.
+// Membership / deployment-description tests, and the GroupSet mask that
+// destination sets are stored in.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "fastcast/runtime/membership.hpp"
 
@@ -71,6 +75,60 @@ TEST(Membership, SingleReplicaGroup) {
   m.add_group(1, {0});
   EXPECT_EQ(m.quorum_size(0), 1u);
   EXPECT_EQ(m.initial_leader(0), 0u);
+}
+
+TEST(Membership, NodesOfGroupsFollowsAscendingGroupOrder) {
+  const Membership m = sample();
+  // Insertion order does not matter: the set iterates 0 before 2.
+  const auto nodes = m.nodes_of_groups(GroupSet{2, 0});
+  EXPECT_EQ(nodes, m.nodes_of_groups(GroupSet{0, 2}));
+  EXPECT_EQ(nodes.front(), 0u);
+}
+
+TEST(GroupSet, IteratesInAscendingOrder) {
+  const GroupSet s{9, 0, 63, 3, 9};
+  EXPECT_EQ(s.size(), 4u);
+  std::vector<GroupId> seen;
+  for (GroupId g : s) seen.push_back(g);
+  EXPECT_EQ(seen, (std::vector<GroupId>{0, 3, 9, 63}));
+  EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
+}
+
+TEST(GroupSet, MembershipSizeAndEquality) {
+  GroupSet s;
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_EQ(s.begin(), s.end());
+  s.insert(5);
+  s.insert(5);
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_TRUE(s.contains(5));
+  EXPECT_FALSE(s.contains(4));
+  EXPECT_FALSE(s.contains(64));  // beyond the mask: never a member
+  EXPECT_FALSE(s.contains(kNoGroup));
+  EXPECT_EQ(s, (GroupSet{5}));
+  EXPECT_NE(s, (GroupSet{5, 6}));
+  EXPECT_EQ(s.mask(), std::uint64_t{1} << 5);
+}
+
+TEST(GroupSet, BuildsFromADestinationList) {
+  const std::vector<GroupId> dst{4, 1, 4};
+  const GroupSet s(dst);
+  EXPECT_EQ(s, (GroupSet{1, 4}));
+  EXPECT_EQ(GroupSet(std::vector<GroupId>{}), GroupSet{});
+}
+
+TEST(GroupSetDeathTest, RejectsIdsBeyondItsWidth) {
+  GroupSet s;
+  EXPECT_DEATH(s.insert(64), "kMaxGroups");
+}
+
+TEST(MembershipDeathTest, RefusesMoreGroupsThanAGroupSetHolds) {
+  Membership m;
+  for (GroupId g = 0; g < GroupSet::kMaxGroups; ++g) m.add_group(1, {0});
+  EXPECT_EQ(m.group_count(), 64u);
+  EXPECT_DEATH(m.add_group(1, {0}), "at most 64 groups");
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include "fastcast/paxos/group_consensus.hpp"
 #include "fastcast/sim/simulator.hpp"
+#include "fastcast/storage/backend.hpp"
+#include "fastcast/storage/storage.hpp"
 
 namespace fastcast::paxos {
 namespace {
@@ -571,6 +573,176 @@ TEST(Learner, HoldsGapsUntilFilled) {
   sim.add_process(0, script);
   sim.start();
   sim.run_to_idle();
+}
+
+TEST(Learner, InOrderAndOutOfOrderDecisionsReachDecideInOrderOnce) {
+  // An in-order decision goes straight to the decide callback; one that
+  // arrives ahead of a gap is parked. Both routes, by vote and by repair
+  // install, must surface every instance exactly once and in order.
+  Membership m;
+  m.add_group(1, {0});
+  Simulator sim(m, std::make_unique<ConstantLatency>(1), {});
+  class Script : public Process {
+   public:
+    Learner learner{2};
+    std::vector<std::pair<InstanceId, int>> decided;
+    void vote(Context& ctx, InstanceId inst, NodeId acceptor) {
+      learner.on_p2b(ctx, P2b{0, Ballot{1, 0}, inst, acceptor,
+                              value_of(static_cast<int>(inst) * 10)});
+    }
+    void on_start(Context& ctx) override {
+      learner.set_decide([this](InstanceId i, const std::vector<std::byte>& v) {
+        decided.emplace_back(i, value_to_int(v));
+      });
+      vote(ctx, 0, 0);
+      vote(ctx, 0, 1);  // quorum, in order: delivered at once
+      EXPECT_EQ(decided.size(), 1u);
+      EXPECT_EQ(learner.undelivered_gap_count(), 0u);
+
+      vote(ctx, 2, 0);
+      vote(ctx, 2, 1);  // decided ahead of instance 1: parked
+      EXPECT_EQ(decided.size(), 1u);
+      EXPECT_EQ(learner.undelivered_gap_count(), 1u);
+      EXPECT_TRUE(learner.is_decided(2));
+
+      vote(ctx, 1, 1);
+      vote(ctx, 1, 2);  // fills the gap: 1, then the parked 2
+      EXPECT_EQ(decided.size(), 3u);
+      EXPECT_EQ(learner.undelivered_gap_count(), 0u);
+
+      // Late votes for decided instances change nothing.
+      vote(ctx, 0, 2);
+      vote(ctx, 2, 2);
+      EXPECT_EQ(decided.size(), 3u);
+
+      // Repair installs take the same two routes.
+      EXPECT_TRUE(learner.force_decided(ctx, 3, value_of(30)));  // in order
+      EXPECT_TRUE(learner.force_decided(ctx, 5, value_of(50)));  // parked
+      EXPECT_FALSE(learner.force_decided(ctx, 5, value_of(50)));
+      EXPECT_EQ(decided.size(), 4u);
+      vote(ctx, 4, 0);
+      vote(ctx, 4, 1);
+      EXPECT_EQ(learner.next_to_deliver(), 6u);
+    }
+    void on_message(Context&, NodeId, const Message&) override {}
+  };
+  auto script = std::make_shared<Script>();
+  sim.add_process(0, script);
+  sim.start();
+  sim.run_to_idle();
+  EXPECT_EQ(script->decided,
+            (std::vector<std::pair<InstanceId, int>>{
+                {0, 0}, {1, 10}, {2, 20}, {3, 30}, {4, 40}, {5, 50}}));
+}
+
+std::unique_ptr<storage::NodeStorage> mem_storage() {
+  return std::make_unique<storage::NodeStorage>(
+      std::make_unique<storage::MemBackend>(), storage::NodeStorage::Config{});
+}
+
+/// Counts P2bRequest catch-up polls sent anywhere in `sim`.
+std::shared_ptr<std::size_t> count_polls(Simulator& sim) {
+  auto polls = std::make_shared<std::size_t>(0);
+  sim.set_send_observer([polls](NodeId, NodeId, const Message& msg) {
+    if (std::holds_alternative<P2bRequest>(msg.payload)) ++*polls;
+  });
+  return polls;
+}
+
+TEST(GroupConsensus, ColdDurableStartSendsNoCatchUpPoll) {
+  // Every member logs to storage, but the logs are empty: a first boot.
+  // Nothing was decided that a member could have missed, so over reliable
+  // links no catch-up poll may ever be sent.
+  Fixture f;
+  std::vector<std::unique_ptr<storage::NodeStorage>> storages;
+  for (NodeId n = 0; n < 3; ++n) {
+    storages.push_back(mem_storage());
+    f.nodes[n]->cons.restore_durable(storages.back()->state());
+    f.sim->set_node_storage(n, storages.back().get());
+  }
+  const auto polls = count_polls(*f.sim);
+  ConsensusNode* n0 = f.nodes[0].get();
+  f.nodes[0]->start_hook = [n0](Context& ctx) {
+    for (int i = 0; i < 10; ++i) n0->cons.propose(ctx, value_of(i));
+  };
+  f.sim->start();
+  f.sim->run_until(seconds(2));
+  f.expect_agreement(10);
+  EXPECT_GT(storages[0]->last_lsn(), 0u);  // the accepts were logged
+  EXPECT_EQ(*polls, 0u);
+}
+
+/// One group of 3 acceptors plus a pure learner (node 3, not an acceptor).
+struct LearnerFixture {
+  LearnerFixture() {
+    membership.add_group(3, {0, 0, 0});
+    learner = membership.add_client(0);
+    sim = std::make_unique<Simulator>(
+        membership, std::make_unique<ConstantLatency>(milliseconds(1), 0.05),
+        SimConfig{});
+    cfg.group = 0;
+    cfg.members = membership.members(0);
+    cfg.extra_learners = {learner};
+    cfg.retry_interval = milliseconds(15);
+    for (NodeId n = 0; n <= learner; ++n) {
+      nodes.push_back(std::make_shared<ConsensusNode>(cfg, n));
+      sim->add_process(n, nodes.back());
+    }
+    ConsensusNode* n0 = nodes[0].get();
+    nodes[0]->start_hook = [n0](Context& ctx) {
+      for (int i = 0; i < 5; ++i) n0->cons.propose(ctx, value_of(i));
+    };
+  }
+
+  Membership membership;
+  NodeId learner = kInvalidNode;
+  GroupConsensus::Config cfg;
+  std::unique_ptr<Simulator> sim;
+  std::vector<std::shared_ptr<ConsensusNode>> nodes;
+};
+
+TEST(GroupConsensus, PureLearnerWithRecoveredStateStillCatchesUp) {
+  // A pure learner keeps no Paxos state, so its recovered storage has no
+  // entry for the group — but the node ran before and logged other things
+  // (here a delivered id). It missed every P2b of the first batch, so it
+  // must poll the acceptors and relearn once it is reachable.
+  LearnerFixture f;
+  storage::DurableState recovered;
+  recovered.delivered.insert(make_msg_id(f.learner, 0));
+  f.nodes[f.learner]->cons.restore_durable(recovered);
+  const NodeId learner = f.learner;
+  f.sim->set_link_filter([learner](NodeId, NodeId to, Time at) {
+    return to != learner || at >= milliseconds(100);
+  });
+  const auto polls = count_polls(*f.sim);
+  f.sim->start();
+  f.sim->run_until(seconds(2));
+  EXPECT_EQ(f.nodes[0]->decided.size(), 5u);
+  EXPECT_EQ(f.nodes[learner]->decided, f.nodes[0]->decided);
+  EXPECT_GT(*polls, 0u);
+}
+
+TEST(GroupConsensus, PureLearnerRestartedWithEmptyLogRelearns) {
+  // The learner dies before any decision and is rebuilt from its storage,
+  // which is still empty. A restart is not a first boot: the decisions
+  // made while it was down must still be relearned.
+  LearnerFixture f;
+  auto st = mem_storage();
+  f.nodes[f.learner]->cons.restore_durable(st->state());
+  f.sim->set_node_storage(f.learner, st.get());
+  std::shared_ptr<ConsensusNode> fresh;
+  f.sim->set_recovery_factory([&](NodeId n) -> std::shared_ptr<Process> {
+    fresh = std::make_shared<ConsensusNode>(f.cfg, n);
+    fresh->cons.restore_durable(st->reset_and_recover());
+    return fresh;
+  });
+  f.sim->schedule_crash(f.learner, 1);
+  f.sim->schedule_recover(f.learner, milliseconds(100));
+  f.sim->start();
+  f.sim->run_until(seconds(2));
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(f.nodes[0]->decided.size(), 5u);
+  EXPECT_EQ(fresh->decided, f.nodes[0]->decided);
 }
 
 }  // namespace

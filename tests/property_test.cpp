@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
 #include "fastcast/harness/experiment.hpp"
@@ -58,17 +59,31 @@ TEST_P(ProtocolSweep, AllPropertiesHold) {
   EXPECT_GT(r.report.delivery_count, 0u);
 }
 
+// gtest names each case with a byte dump of its parameter, padding included,
+// so the padding is zeroed to keep case names the same from run to run.
+SweepParam make_param(Protocol protocol, std::size_t groups, std::uint64_t seed,
+                      bool serialize) {
+  SweepParam p;
+  std::memset(&p, 0, sizeof p);
+  p.protocol = protocol;
+  p.groups = groups;
+  p.clients = 2 * groups;
+  p.seed = seed;
+  p.serialize = serialize;
+  return p;
+}
+
 std::vector<SweepParam> sweep_params() {
   std::vector<SweepParam> params;
   for (Protocol proto : {Protocol::kBaseCast, Protocol::kFastCast,
                          Protocol::kFastCastSlowPath, Protocol::kMultiPaxos}) {
     for (std::size_t groups : {1, 2, 3, 5}) {
       for (std::uint64_t seed : {1, 7, 1234}) {
-        params.push_back({proto, groups, 2 * groups, seed, false});
+        params.push_back(make_param(proto, groups, seed, false));
       }
     }
     // One wire-serialized variant per protocol.
-    params.push_back({proto, 3, 6, 42, true});
+    params.push_back(make_param(proto, 3, 42, true));
   }
   return params;
 }

@@ -1,8 +1,12 @@
 // FIFO reliable multicast tests: FIFO order, dedup, validity, relaying on
-// origin crash, retransmission over lossy links.
+// origin crash, retransmission over lossy links, and the receiver's
+// in-place / holdback paths driven frame by frame.
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "fastcast/obs/observability.hpp"
 #include "fastcast/rmcast/reliable_multicast.hpp"
 #include "fastcast/sim/simulator.hpp"
 
@@ -144,8 +148,12 @@ TEST(ReliableMulticast, TwoOriginsIndependentFifoStreams) {
   for (NodeId n = 3; n < 6; ++n) {
     std::uint32_t next0 = 0, next6 = 0;
     for (auto& [origin, mid] : f.nodes[n]->deliveries) {
-      if (origin == 0) EXPECT_EQ(mid, make_msg_id(0, next0++));
-      if (origin == 6) EXPECT_EQ(mid, make_msg_id(6, next6++));
+      if (origin == 0) {
+        EXPECT_EQ(mid, make_msg_id(0, next0++));
+      }
+      if (origin == 6) {
+        EXPECT_EQ(mid, make_msg_id(6, next6++));
+      }
     }
     EXPECT_EQ(next0, 10u);
     EXPECT_EQ(next6, 10u);
@@ -253,6 +261,154 @@ TEST(ReliableMulticast, HoldbackBuffersOutOfOrderArrival) {
   EXPECT_TRUE(f.nodes[0]->deliveries.empty());
   ASSERT_EQ(f.nodes[1]->deliveries.size(), 2u);
   EXPECT_GT(f.nodes[0]->rm.holdback_size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Frame-level tests: a fake context records every send (copying the Message
+// at send time, as every real context does) and frames are handed to the
+// receiver directly, so arrival order is exact.
+
+class RecordingContext final : public Context {
+ public:
+  explicit RecordingContext(NodeId self) : self_(self) {
+    membership_ = standard_membership();
+  }
+  NodeId self() const override { return self_; }
+  Time now() const override { return 0; }
+  void send(NodeId to, const Message& msg) override { sent.push_back({to, msg}); }
+  TimerId set_timer(Duration, std::function<void()>) override { return 1; }
+  void cancel_timer(TimerId) override {}
+  Rng& rng() override { return rng_; }
+  const Membership& membership() const override { return membership_; }
+
+  std::vector<std::pair<NodeId, Message>> sent;
+
+ private:
+  NodeId self_;
+  Rng rng_;
+  Membership membership_;
+};
+
+/// Frame `seq` of origin 6's stream to node 0, carrying message (6, seq).
+Message frame_from_client(std::uint64_t seq) {
+  RmData d;
+  d.origin = 6;
+  d.seq = seq;
+  d.dst_groups = {0};
+  d.dest_nodes = {0};
+  d.dest_seqs = {seq};
+  d.inner = RmNode::payload(6, static_cast<std::uint32_t>(seq));
+  return Message{d};
+}
+
+std::vector<MsgId> delivered_ids(const RmNode& node) {
+  std::vector<MsgId> out;
+  for (const auto& [origin, mid] : node.deliveries) out.push_back(mid);
+  return out;
+}
+
+TEST(ReliableMulticastFrames, InOrderFrameIsDeliveredInPlace) {
+  RecordingContext ctx(0);
+  obs::Observability o;
+  ctx.set_observability(&o);
+  RmNode node;
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    EXPECT_TRUE(node.rm.handle(ctx, 6, frame_from_client(seq)));
+    // Delivered during the handler, nothing parked.
+    EXPECT_EQ(node.deliveries.size(), seq);
+    EXPECT_EQ(node.rm.holdback_size(), 0u);
+    EXPECT_EQ(node.rm.next_expected_from(6), seq + 1);
+  }
+  EXPECT_EQ(delivered_ids(node), (std::vector<MsgId>{make_msg_id(6, 1),
+                                                     make_msg_id(6, 2),
+                                                     make_msg_id(6, 3)}));
+  // holdback_max counts only out-of-order frames: none here.
+  EXPECT_EQ(o.metrics.gauge("rmcast.holdback_max").value(), 0);
+  EXPECT_TRUE(ctx.sent.empty());  // reliable links: no acks
+}
+
+TEST(ReliableMulticastFrames, OutOfOrderArrivalWaitsForTheGapFiller) {
+  RecordingContext ctx(0);
+  obs::Observability o;
+  ctx.set_observability(&o);
+  RmNode node;
+  node.rm.handle(ctx, 6, frame_from_client(1));
+  node.rm.handle(ctx, 6, frame_from_client(3));
+  node.rm.handle(ctx, 6, frame_from_client(4));
+  EXPECT_EQ(delivered_ids(node), (std::vector<MsgId>{make_msg_id(6, 1)}));
+  EXPECT_EQ(node.rm.holdback_size(), 2u);
+  EXPECT_EQ(o.metrics.gauge("rmcast.holdback_max").value(), 2);
+
+  // The gap filler is delivered first, then the parked successors, FIFO.
+  node.rm.handle(ctx, 6, frame_from_client(2));
+  EXPECT_EQ(delivered_ids(node), (std::vector<MsgId>{make_msg_id(6, 1),
+                                                     make_msg_id(6, 2),
+                                                     make_msg_id(6, 3),
+                                                     make_msg_id(6, 4)}));
+  EXPECT_EQ(node.rm.holdback_size(), 0u);
+  EXPECT_EQ(node.rm.next_expected_from(6), 5u);
+}
+
+TEST(ReliableMulticastFrames, DuplicatesAreDropped) {
+  RecordingContext ctx(0);
+  RmNode node;
+  node.rm.handle(ctx, 6, frame_from_client(1));
+  node.rm.handle(ctx, 6, frame_from_client(1));  // already delivered
+  node.rm.handle(ctx, 6, frame_from_client(3));
+  node.rm.handle(ctx, 6, frame_from_client(3));  // already parked
+  EXPECT_EQ(node.deliveries.size(), 1u);
+  EXPECT_EQ(node.rm.holdback_size(), 1u);
+  node.rm.handle(ctx, 6, frame_from_client(2));
+  node.rm.handle(ctx, 6, frame_from_client(2));
+  node.rm.handle(ctx, 6, frame_from_client(3));
+  EXPECT_EQ(delivered_ids(node), (std::vector<MsgId>{make_msg_id(6, 1),
+                                                     make_msg_id(6, 2),
+                                                     make_msg_id(6, 3)}));
+}
+
+TEST(ReliableMulticastFrames, SharedFanOutGivesEachDestinationItsOwnSeq) {
+  // The origin builds one Message per multicast and patches RmData::seq
+  // between sends; every copy on the wire must carry its own destination's
+  // sequence number and the same frame otherwise.
+  RecordingContext ctx(6);
+  ReliableMulticast rm;
+  rm.multicast(ctx, {1}, RmNode::payload(6, 0));     // nodes 3..5: seq 1
+  rm.multicast(ctx, {0, 1}, RmNode::payload(6, 1));  // 0..2: seq 1; 3..5: seq 2
+  ASSERT_EQ(ctx.sent.size(), 9u);
+
+  std::map<NodeId, std::vector<std::uint64_t>> seqs;
+  for (const auto& [to, msg] : ctx.sent) {
+    const auto& d = std::get<RmData>(msg.payload);
+    ASSERT_EQ(d.dest_nodes.size(), d.dest_seqs.size());
+    std::size_t i = 0;
+    while (i < d.dest_nodes.size() && d.dest_nodes[i] != to) ++i;
+    ASSERT_LT(i, d.dest_nodes.size()) << "copy sent to a non-destination";
+    EXPECT_EQ(d.seq, d.dest_seqs[i]) << "copy to node " << to;
+    EXPECT_EQ(d.origin, 6u);
+    seqs[to].push_back(d.seq);
+  }
+  for (NodeId n : {0u, 1u, 2u}) {
+    EXPECT_EQ(seqs[n], (std::vector<std::uint64_t>{1})) << "node " << n;
+  }
+  for (NodeId n : {3u, 4u, 5u}) {
+    EXPECT_EQ(seqs[n], (std::vector<std::uint64_t>{1, 2})) << "node " << n;
+  }
+  // The global frame lists every destination with its own seq.
+  const auto& global = std::get<RmData>(ctx.sent.back().second.payload);
+  EXPECT_EQ(global.dst_groups, (GroupSet{0, 1}));
+  EXPECT_EQ(global.dest_nodes, (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(global.dest_seqs, (std::vector<std::uint64_t>{1, 1, 1, 2, 2, 2}));
+
+  // Each receiver delivers its copy in place, in its own FIFO order.
+  for (NodeId n = 0; n < 6; ++n) {
+    RecordingContext rctx(n);
+    RmNode receiver;
+    for (const auto& [to, msg] : ctx.sent) {
+      if (to == n) receiver.rm.handle(rctx, 6, msg);
+    }
+    EXPECT_EQ(receiver.deliveries.size(), n < 3 ? 1u : 2u) << "node " << n;
+    EXPECT_EQ(receiver.rm.holdback_size(), 0u);
+  }
 }
 
 }  // namespace
