@@ -57,7 +57,7 @@ struct OpenLoopRow {
   std::uint64_t rejected = 0;      // terminal Busy/kOverload (run total)
   std::uint64_t expired = 0;       // terminal Busy/kExpired
   std::uint64_t timed_out = 0;     // client gave up waiting
-  std::uint64_t suppressed = 0;    // injection ticks shed during backoff
+  std::uint64_t suppressed = 0;    // injection ticks shed in backoff
   std::uint64_t deadline_miss = 0; // completed but past deadline
   bool check_ok = true;
 };

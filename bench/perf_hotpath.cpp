@@ -2,15 +2,12 @@
 /// Tracked microbenchmark for the three hot paths this repo optimizes:
 ///
 ///   engine      steady-state simulator event loop (pop + push of a
-///               deliver-sized closure), measured against an in-file
-///               replica of the pre-optimization engine
-///               (std::function + std::priority_queue) for an honest
-///               before/after on the same machine;
+///               deliver-sized closure);
 ///   codec       Message encoding throughput, fresh-allocation vs the
 ///               reusable-buffer `_into` path;
-///   tcp         loopback TCP transport: one-way framed-message
-///               throughput (gather-write coalescing) and ping-pong
-///               round-trip p50/p99;
+///   tcp         loopback TCP transport, one connection: one-way
+///               framed-message throughput (gather-write coalescing) and
+///               ping-pong round-trip p50/p99, stamped with host_cpus;
 ///   end_to_end  a full simulated FastCast experiment, reporting
 ///               wall-clock event rate and heap allocations per
 ///               client-observed delivery;
@@ -34,20 +31,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
-#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "fastcast/common/codec.hpp"
-#include "fastcast/common/rng.hpp"
 #include "fastcast/net/cpu_affinity.hpp"
-#include "fastcast/net/sharded_transport.hpp"
 #include "fastcast/net/tcp_transport.hpp"
 #include "fastcast/obs/json.hpp"
 #include "fastcast/obs/metrics.hpp"
@@ -106,43 +97,11 @@ double seconds_since(Clock::time_point t0) {
 std::uint64_t allocs_now() { return g_allocs.load(std::memory_order_relaxed); }
 
 // ---------------------------------------------------------------------------
-// Pre-optimization engine, replicated verbatim from the seed tree so the
-// before/after comparison runs in one binary on identical hardware.
+// Engine: steady-state pop + push at a fixed queue depth.
 // ---------------------------------------------------------------------------
 
-class LegacyEventQueue {
- public:
-  struct Event {
-    Time at = 0;
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-  };
-
-  void push(Time at, std::function<void()> fn) {
-    heap_.push(Event{at, next_seq_++, std::move(fn)});
-  }
-  bool empty() const { return heap_.empty(); }
-  Event pop() {
-    Event e = std::move(const_cast<Event&>(heap_.top()));
-    heap_.pop();
-    return e;
-  }
-
- private:
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::uint64_t next_seq_ = 0;
-};
-
 /// The simulator's deliver closure captures (this, to, from, shared_ptr) —
-/// 32 bytes, past std::function's 16-byte inline buffer. The bench pushes
-/// closures of the same shape so the legacy numbers include the per-event
-/// heap allocation real runs paid.
+/// 32 bytes; the bench pushes closures of the same shape.
 struct DeliverLikeCapture {
   void* sim;
   std::uint32_t to;
@@ -151,11 +110,8 @@ struct DeliverLikeCapture {
 };
 
 struct EngineResult {
-  double legacy_ops_per_sec = 0;
   double pooled_ops_per_sec = 0;
-  double legacy_allocs_per_op = 0;
   double pooled_allocs_per_op = 0;
-  double speedup = 0;
 };
 
 EngineResult bench_engine(std::size_t ops) {
@@ -164,43 +120,23 @@ EngineResult bench_engine(std::size_t ops) {
   auto msg = std::make_shared<int>(7);
   DeliverLikeCapture cap{&sink, 1, 2, msg};
 
+  sim::EventQueue q;
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    q.push(static_cast<Time>(i), [cap, &sink] { sink += cap.to; });
+  }
+  const std::uint64_t a0 = allocs_now();
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < ops; ++i) {
+    auto e = q.pop();
+    e.fn();
+    q.push(e.at + kDepth, [cap, &sink] { sink += cap.to; });
+  }
+  const double dt = seconds_since(t0);
   EngineResult r;
-  {
-    LegacyEventQueue q;
-    for (std::size_t i = 0; i < kDepth; ++i) {
-      q.push(static_cast<Time>(i), [cap, &sink] { sink += cap.to; });
-    }
-    const std::uint64_t a0 = allocs_now();
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < ops; ++i) {
-      auto e = q.pop();
-      e.fn();
-      q.push(e.at + kDepth, [cap, &sink] { sink += cap.to; });
-    }
-    const double dt = seconds_since(t0);
-    r.legacy_ops_per_sec = static_cast<double>(ops) / dt;
-    r.legacy_allocs_per_op =
-        static_cast<double>(allocs_now() - a0) / static_cast<double>(ops);
-  }
-  {
-    sim::EventQueue q;
-    for (std::size_t i = 0; i < kDepth; ++i) {
-      q.push(static_cast<Time>(i), [cap, &sink] { sink += cap.to; });
-    }
-    const std::uint64_t a0 = allocs_now();
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < ops; ++i) {
-      auto e = q.pop();
-      e.fn();
-      q.push(e.at + kDepth, [cap, &sink] { sink += cap.to; });
-    }
-    const double dt = seconds_since(t0);
-    r.pooled_ops_per_sec = static_cast<double>(ops) / dt;
-    r.pooled_allocs_per_op =
-        static_cast<double>(allocs_now() - a0) / static_cast<double>(ops);
-  }
+  r.pooled_ops_per_sec = static_cast<double>(ops) / dt;
+  r.pooled_allocs_per_op =
+      static_cast<double>(allocs_now() - a0) / static_cast<double>(ops);
   if (sink == 0) std::fprintf(stderr, "unreachable\n");  // defeat DCE
-  r.speedup = r.pooled_ops_per_sec / r.legacy_ops_per_sec;
   return r;
 }
 
@@ -278,18 +214,14 @@ struct TcpResult {
   std::uint64_t frames = 0;
 };
 
-TcpResult bench_tcp(std::size_t frames, std::size_t pings,
-                    net::BackendKind backend) {
+TcpResult bench_tcp(std::size_t frames, std::size_t pings) {
   using net::AddressBook;
   using net::TcpTransport;
   AddressBook book;
-  static std::uint16_t port_salt = 0;
-  book.base_port = static_cast<std::uint16_t>(23000 + (::getpid() % 500) +
-                                              (port_salt += 16));
+  book.base_port = static_cast<std::uint16_t>(23000 + (::getpid() % 500));
 
-  const net::TransportOptions opt{backend};
-  TcpTransport a(0, book, opt);
-  TcpTransport b(1, book, opt);
+  TcpTransport a(0, book);
+  TcpTransport b(1, book);
   a.listen();
   b.listen();
 
@@ -315,7 +247,7 @@ TcpResult bench_tcp(std::size_t frames, std::size_t pings,
   }
   while (b_received < frames) {
     a.poll_once(0);
-    b.poll_once(1);
+    b.poll_once(milliseconds(1));
   }
   r.frames_per_sec = static_cast<double>(frames) / seconds_since(t0);
 
@@ -345,180 +277,6 @@ TcpResult bench_tcp(std::size_t frames, std::size_t pings,
 
   a.close_all();
   b.close_all();
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Transport scaling: N concurrent senders into one sharded receiver,
-// aggregate frames/s per shard count, for each available backend. On a
-// many-core host the curve shows thread-per-core scaling; host_cpus is
-// recorded so flat curves on starved CI runners read as what they are.
-// ---------------------------------------------------------------------------
-
-struct ScalingPoint {
-  int shards = 0;
-  double frames_per_sec = 0;
-  std::uint64_t frames = 0;
-};
-
-struct TransportBackendResult {
-  const char* backend = "?";
-  bool available = false;
-  double single_conn_frames_per_sec = 0;
-  std::vector<ScalingPoint> scaling;
-};
-
-ScalingPoint bench_sharded(net::BackendKind backend, int shards,
-                           std::size_t total_frames) {
-  using net::AddressBook;
-  using net::TcpTransport;
-  constexpr int kSenders = 4;
-  AddressBook book;
-  static std::uint16_t port_salt = 0;
-  book.base_port = static_cast<std::uint16_t>(25000 + (::getpid() % 500) +
-                                              (port_salt += 16));
-
-  net::ShardedOptions so;
-  so.shards = shards;
-  so.backend = backend;
-  so.ring_capacity = 1 << 15;
-  net::ShardedTransport hub(0, book, so);
-  hub.start();
-
-  const Message msg = hot_wire_message();
-  const std::size_t per_sender = total_frames / kSenders;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> senders;
-  for (int s = 0; s < kSenders; ++s) {
-    senders.emplace_back([&, s] {
-      const NodeId id = static_cast<NodeId>(s + 1);
-      TcpTransport t(id, book, net::TransportOptions{backend});
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (std::size_t i = 0; i < per_sender; ++i) {
-        t.send(0, msg);
-        if ((i & 1023) == 1023) t.poll_once(0);
-      }
-      const auto drain_deadline =
-          Clock::now() + std::chrono::seconds(120);
-      while (t.pending_bytes() > 0 && Clock::now() < drain_deadline) {
-        t.poll_once(1);
-      }
-      t.close_all();
-    });
-  }
-
-  ScalingPoint p;
-  p.shards = shards;
-  const std::uint64_t want = per_sender * kSenders;
-  std::uint64_t got = 0;
-  const auto t0 = Clock::now();
-  go.store(true, std::memory_order_release);
-  const auto deadline = Clock::now() + std::chrono::seconds(120);
-  while (got < want && Clock::now() < deadline) {
-    const std::size_t n =
-        hub.poll_deliveries([](NodeId, const Message&) {});
-    got += n;
-    if (n == 0) std::this_thread::yield();
-  }
-  const double dt = seconds_since(t0);
-  for (auto& th : senders) th.join();
-  hub.stop();
-  p.frames = got;
-  p.frames_per_sec = dt > 0 ? static_cast<double>(got) / dt : 0;
-  return p;
-}
-
-TransportBackendResult bench_transport_backend(net::BackendKind backend,
-                                               std::size_t single_frames,
-                                               std::size_t scale_frames) {
-  TransportBackendResult r;
-  r.backend = net::to_string(backend);
-  r.available =
-      backend != net::BackendKind::kUring || net::uring_available();
-  if (!r.available) return r;
-  r.single_conn_frames_per_sec =
-      bench_tcp(single_frames, /*pings=*/200, backend).frames_per_sec;
-  for (int shards : {1, 2, 4}) {
-    r.scaling.push_back(bench_sharded(backend, shards, scale_frames));
-  }
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Varint decoding: Reader's unrolled fast path against an in-file replica
-// of the original byte-at-a-time loop, on a wire-realistic value mix
-// (mostly 1-byte, a 2-byte tier, a tail of large values). The encoder is
-// the plain loop itself, so there is nothing to compare it with.
-// ---------------------------------------------------------------------------
-
-std::uint64_t legacy_varint_decode(std::span<const std::byte> data,
-                                   std::size_t& pos, bool& ok) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    if (shift > 63 || pos >= data.size()) {
-      ok = false;
-      return 0;
-    }
-    const auto b = static_cast<std::uint8_t>(data[pos++]);
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
-
-struct VarintResult {
-  double legacy_decode_mops = 0;
-  double fast_decode_mops = 0;
-  double decode_speedup = 0;
-};
-
-VarintResult bench_varint(std::size_t iters) {
-  // Wire-realistic mix: ~70% 1-byte (flags, small counts), ~25% 2-byte
-  // (seqs, sizes), ~5% wide (timestamps, ids).
-  std::vector<std::uint64_t> values(4096);
-  Rng rng(0x5eed);
-  for (auto& v : values) {
-    const std::uint64_t pick = rng.uniform(100);
-    if (pick < 70) {
-      v = rng.uniform(128);
-    } else if (pick < 95) {
-      v = 128 + rng.uniform(16384 - 128);
-    } else {
-      v = rng.next();
-    }
-  }
-  const std::size_t rounds = iters / values.size();
-
-  VarintResult r;
-  std::uint64_t sink = 0;
-  Writer encoded;
-  for (std::uint64_t v : values) encoded.varint(v);
-  {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < rounds; ++i) {
-      std::size_t pos = 0;
-      bool ok = true;
-      for (std::size_t k = 0; k < values.size(); ++k) {
-        sink += legacy_varint_decode(encoded.data(), pos, ok);
-      }
-      if (!ok) std::fprintf(stderr, "legacy decode failed\n");
-    }
-    r.legacy_decode_mops =
-        static_cast<double>(rounds * values.size()) / seconds_since(t0) / 1e6;
-  }
-  {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < rounds; ++i) {
-      Reader reader(encoded.data());
-      for (std::size_t k = 0; k < values.size(); ++k) sink += reader.varint();
-      if (!reader.ok()) std::fprintf(stderr, "fast decode failed\n");
-    }
-    r.fast_decode_mops =
-        static_cast<double>(rounds * values.size()) / seconds_since(t0) / 1e6;
-  }
-  if (sink == 0) std::fprintf(stderr, "unreachable\n");
-  r.decode_speedup = r.fast_decode_mops / r.legacy_decode_mops;
   return r;
 }
 
@@ -680,14 +438,10 @@ int main(int argc, char** argv) {
   const std::size_t codec_iters = smoke ? 100'000 : 2'000'000;
   const std::size_t tcp_frames = smoke ? 20'000 : 400'000;
   const std::size_t tcp_pings = smoke ? 200 : 2'000;
-  const std::size_t scale_frames = smoke ? 40'000 : 400'000;
-  const std::size_t varint_ops = smoke ? 4'000'000 : 40'000'000;
 
   const EngineResult eng = bench_engine(engine_ops);
-  std::printf("engine      legacy %12.0f ops/s (%.2f allocs/op)\n",
-              eng.legacy_ops_per_sec, eng.legacy_allocs_per_op);
-  std::printf("            pooled %12.0f ops/s (%.2f allocs/op)  %.2fx\n",
-              eng.pooled_ops_per_sec, eng.pooled_allocs_per_op, eng.speedup);
+  std::printf("engine      pooled %12.0f ops/s (%.2f allocs/op)\n",
+              eng.pooled_ops_per_sec, eng.pooled_allocs_per_op);
 
   const CodecResult cod = bench_codec(codec_iters);
   std::printf("codec       fresh  %12.1f MB/s (%.2f allocs/msg)\n",
@@ -695,35 +449,11 @@ int main(int argc, char** argv) {
   std::printf("            reused %12.1f MB/s (%.2f allocs/msg)  %.2fx\n",
               cod.reused_mb_per_sec, cod.reused_allocs_per_msg, cod.speedup);
 
-  const VarintResult vint = bench_varint(varint_ops);
-  std::printf("varint      decode legacy %7.1f Mops/s  fast %7.1f Mops/s  %.2fx\n",
-              vint.legacy_decode_mops, vint.fast_decode_mops,
-              vint.decode_speedup);
-
-  const TcpResult tcp = bench_tcp(tcp_frames, tcp_pings, net::BackendKind::kPoll);
-  std::printf("tcp         %12.0f frames/s   rtt p50 %.1fus p99 %.1fus\n",
-              tcp.frames_per_sec, tcp.rtt_p50_us, tcp.rtt_p99_us);
-
-  // Transport scaling: every available backend, single connection plus the
-  // sharded hub at 1/2/4 shards with 4 concurrent senders.
+  const TcpResult tcp = bench_tcp(tcp_frames, tcp_pings);
   const int host_cpus = net::online_cpu_count();
-  std::vector<TransportBackendResult> transports;
-  transports.push_back(bench_transport_backend(net::BackendKind::kPoll,
-                                               tcp_frames, scale_frames));
-  transports.push_back(bench_transport_backend(net::BackendKind::kUring,
-                                               tcp_frames, scale_frames));
-  for (const TransportBackendResult& t : transports) {
-    if (!t.available) {
-      std::printf("transport   %-6s unavailable on this host\n", t.backend);
-      continue;
-    }
-    std::printf("transport   %-6s single %10.0f frames/s   shards:", t.backend,
-                t.single_conn_frames_per_sec);
-    for (const ScalingPoint& p : t.scaling) {
-      std::printf("  %dx %10.0f/s", p.shards, p.frames_per_sec);
-    }
-    std::printf("   (%d cpus)\n", host_cpus);
-  }
+  std::printf("tcp         %12.0f frames/s   rtt p50 %.1fus p99 %.1fus   "
+              "(%d cpus)\n",
+              tcp.frames_per_sec, tcp.rtt_p50_us, tcp.rtt_p99_us, host_cpus);
 
   const EndToEndResult e2e = bench_end_to_end(smoke);
   std::printf("end_to_end  %12.0f events/s   %.1f allocs/delivery (%llu "
@@ -753,23 +483,12 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   metrics.gauge("hotpath.engine.pooled_ops_per_sec")
       .set(static_cast<std::int64_t>(eng.pooled_ops_per_sec));
-  metrics.gauge("hotpath.engine.legacy_ops_per_sec")
-      .set(static_cast<std::int64_t>(eng.legacy_ops_per_sec));
   metrics.gauge("hotpath.codec.reused_mb_per_sec")
       .set(static_cast<std::int64_t>(cod.reused_mb_per_sec));
   metrics.gauge("hotpath.tcp.frames_per_sec")
       .set(static_cast<std::int64_t>(tcp.frames_per_sec));
   metrics.gauge("hotpath.e2e.events_per_sec")
       .set(static_cast<std::int64_t>(e2e.events_per_sec));
-  for (const TransportBackendResult& t : transports) {
-    if (!t.available) continue;
-    for (const ScalingPoint& p : t.scaling) {
-      metrics
-          .gauge(std::string("hotpath.transport.") + t.backend + ".shards" +
-                 std::to_string(p.shards) + "_frames_per_sec")
-          .set(static_cast<std::int64_t>(p.frames_per_sec));
-    }
-  }
   for (const StoragePolicyResult& s : sto) {
     metrics.gauge(std::string("hotpath.storage.mem_") + s.name +
                   "_records_per_sec")
@@ -790,10 +509,7 @@ int main(int argc, char** argv) {
   write_build_flavor(w);
   w.kv("smoke", smoke);
   w.key("engine").begin_object();
-  w.kv("legacy_ops_per_sec", eng.legacy_ops_per_sec);
   w.kv("pooled_ops_per_sec", eng.pooled_ops_per_sec);
-  w.kv("speedup", eng.speedup);
-  w.kv("legacy_allocs_per_op", eng.legacy_allocs_per_op);
   w.kv("pooled_allocs_per_op", eng.pooled_allocs_per_op);
   w.end_object();
   w.key("codec").begin_object();
@@ -804,39 +520,12 @@ int main(int argc, char** argv) {
   w.kv("reused_allocs_per_msg", cod.reused_allocs_per_msg);
   w.kv("encoded_bytes", cod.encoded_bytes);
   w.end_object();
-  w.key("varint").begin_object();
-  w.kv("legacy_decode_mops", vint.legacy_decode_mops);
-  w.kv("fast_decode_mops", vint.fast_decode_mops);
-  w.kv("decode_speedup", vint.decode_speedup);
-  w.end_object();
   w.key("tcp").begin_object();
   w.kv("frames_per_sec", tcp.frames_per_sec);
   w.kv("rtt_p50_us", tcp.rtt_p50_us);
   w.kv("rtt_p99_us", tcp.rtt_p99_us);
   w.kv("frames", tcp.frames);
-  w.end_object();
-  w.key("transport").begin_object();
   w.kv("host_cpus", static_cast<std::int64_t>(host_cpus));
-  w.key("backends").begin_array();
-  for (const TransportBackendResult& t : transports) {
-    w.begin_object();
-    w.kv("backend", t.backend);
-    w.kv("available", t.available);
-    if (t.available) {
-      w.kv("single_conn_frames_per_sec", t.single_conn_frames_per_sec);
-      w.key("scaling").begin_array();
-      for (const ScalingPoint& p : t.scaling) {
-        w.begin_object();
-        w.kv("shards", static_cast<std::int64_t>(p.shards));
-        w.kv("frames_per_sec", p.frames_per_sec);
-        w.kv("frames", p.frames);
-        w.end_object();
-      }
-      w.end_array();
-    }
-    w.end_object();
-  }
-  w.end_array();
   w.end_object();
   w.key("end_to_end").begin_object();
   w.kv("events_per_sec", e2e.events_per_sec);

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -78,29 +77,7 @@ class DemoClient : public Process {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  net::BackendKind backend = net::BackendKind::kPoll;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--transport-backend=", 20) == 0) {
-      const auto parsed = net::parse_backend_kind(arg + 20);
-      if (!parsed) {
-        std::fprintf(stderr, "unknown backend '%s' (poll|uring|auto)\n",
-                     arg + 20);
-        return 2;
-      }
-      backend = *parsed;
-    } else {
-      std::fprintf(stderr,
-                   "usage: tcp_cluster [--transport-backend=poll|uring|auto]\n");
-      return std::strcmp(arg, "--help") == 0 ? 0 : 2;
-    }
-  }
-  if (backend == net::BackendKind::kUring && !net::uring_available()) {
-    std::fprintf(stderr, "io_uring is not available on this host\n");
-    return 2;
-  }
-
+int main() {
   Membership membership;
   membership.add_group(3, {0, 0, 0});
   membership.add_group(3, {0, 0, 0});
@@ -109,7 +86,6 @@ int main(int argc, char** argv) {
   net::TcpCluster::Config cfg;
   cfg.membership = membership;
   cfg.base_port = 19300;
-  cfg.backend = backend;
   net::TcpCluster cluster(std::move(cfg));
 
   std::mutex mu;
@@ -134,9 +110,7 @@ int main(int argc, char** argv) {
                                        &mu, &checker, &latencies, &completed));
 
   std::printf(
-      "starting 7 nodes (6 replicas + 1 client) on 127.0.0.1:19300+ "
-      "[%s backend]...\n",
-      net::to_string(net::resolve_backend(backend)));
+      "starting 7 nodes (6 replicas + 1 client) on 127.0.0.1:19300+...\n");
   cluster.start();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);

@@ -113,22 +113,17 @@ class Reader {
     return v;
   }
 
-  /// LEB128 decode with a 1-byte fast path (the dominant case on this
-  /// wire) and a bounds-check-free unrolled path whenever >=10 bytes
-  /// remain — an encoded u64 never exceeds 10 bytes, so only reads near
-  /// the end of the buffer need the per-byte ensure() of the slow loop.
-  /// Accepts/rejects exactly what the slow loop does.
+  /// Unsigned LEB128 decode, the plain byte loop. Fails on a buffer that
+  /// ends mid-varint and on an 11th byte (shift > 63).
   std::uint64_t varint() {
-    const std::size_t rem = remaining();
-    if (rem > 0) [[likely]] {
-      const auto b0 = static_cast<std::uint8_t>(data_[pos_]);
-      if ((b0 & 0x80) == 0) {
-        ++pos_;
-        return b0;
-      }
-      if (rem >= 10) return varint_unrolled();
+    std::uint64_t v = 0;
+    for (int shift = 0; shift <= 63; shift += 7) {
+      if (pos_ >= data_.size()) return fail_zero();
+      const auto b = static_cast<std::uint8_t>(data_[pos_++]);
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
     }
-    return varint_slow();
+    return fail_zero();
   }
 
   std::vector<std::byte> bytes() {
@@ -149,49 +144,6 @@ class Reader {
   }
 
  private:
-  /// Continuation byte confirmed and >=10 bytes available: decode without
-  /// per-byte bounds checks. The macro unrolls what the slow loop does at
-  /// shift 7i; byte 9 lands at shift 63 with the same silent truncation of
-  /// high bits, and a continuation bit on byte 9 fails exactly like the
-  /// slow loop's shift > 63 guard.
-  std::uint64_t varint_unrolled() {
-    const std::byte* p = data_.data() + pos_;
-    std::uint64_t v = static_cast<std::uint8_t>(p[0]) & 0x7fu;
-#define FASTCAST_VARINT_STEP(i)                                     \
-  {                                                                 \
-    const auto b = static_cast<std::uint8_t>(p[i]);                 \
-    v |= static_cast<std::uint64_t>(b & 0x7f) << (7 * (i));         \
-    if ((b & 0x80) == 0) {                                          \
-      pos_ += (i) + 1;                                              \
-      return v;                                                     \
-    }                                                               \
-  }
-    FASTCAST_VARINT_STEP(1)
-    FASTCAST_VARINT_STEP(2)
-    FASTCAST_VARINT_STEP(3)
-    FASTCAST_VARINT_STEP(4)
-    FASTCAST_VARINT_STEP(5)
-    FASTCAST_VARINT_STEP(6)
-    FASTCAST_VARINT_STEP(7)
-    FASTCAST_VARINT_STEP(8)
-    FASTCAST_VARINT_STEP(9)
-#undef FASTCAST_VARINT_STEP
-    return fail_zero();  // 11th byte would need shift > 63
-  }
-
-  std::uint64_t varint_slow() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      if (shift > 63) return fail_zero();
-      const std::uint8_t b = u8();
-      if (!ok_) return 0;
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
-    }
-  }
-
   template <typename T>
   T read_le() {
     if (!ensure(sizeof(T))) return T{};

@@ -69,7 +69,7 @@ struct ChaosRunResult {
   std::uint64_t rejected = 0;    ///< terminal Busy/kOverload
   std::uint64_t expired = 0;     ///< terminal Busy/kExpired
   std::uint64_t timed_out = 0;   ///< client gave up waiting
-  std::uint64_t suppressed = 0;  ///< open-loop ticks shed during backoff
+  std::uint64_t suppressed = 0;  ///< open-loop ticks shed in backoff
   std::uint64_t retries = 0;     ///< budgeted resubmits
   std::uint64_t in_flight_end = 0;  ///< unresolved at run end
 

@@ -119,7 +119,7 @@ struct ExperimentResult {
   std::uint64_t messages_sent = 0;
   std::uint64_t fast_path_hits = 0;  ///< FastCast Task-6 matches (all replicas)
   std::uint64_t slow_path_hits = 0;  ///< SYNC-HARDs ordered via consensus
-  /// A-deliveries externalized by all replicas during the measurement
+  /// A-deliveries externalized by all replicas in the measurement
   /// window (completion-independent: open-loop saturation shows up here
   /// even when ack latency grows without bound).
   std::uint64_t window_deliveries = 0;
@@ -136,7 +136,7 @@ struct ExperimentResult {
   std::uint64_t expired = 0;          ///< terminal Busy/kExpired
   std::uint64_t timed_out = 0;        ///< client gave up waiting
   std::uint64_t deadline_miss = 0;    ///< completed but past deadline
-  std::uint64_t suppressed = 0;       ///< open-loop ticks shed during backoff
+  std::uint64_t suppressed = 0;       ///< open-loop ticks shed in backoff
   std::uint64_t retries = 0;          ///< budgeted resubmits
   std::uint64_t busy_received = 0;    ///< Busy frames seen (incl. advisory)
   std::uint64_t in_flight_end = 0;    ///< unresolved at run end

@@ -1,21 +1,13 @@
 #pragma once
 
 /// \file cpu_affinity.hpp
-/// Thread-per-core plumbing for the sharded transport: discover how many
-/// CPUs the process may run on and pin the calling thread to one of them.
-/// Pinning is best-effort — containers and cpuset-restricted hosts may
-/// refuse, and the shard runs fine unpinned, just with worse locality.
+/// How many CPUs the process may run on; benches stamp it as `host_cpus`
+/// so numbers from a starved host read as what they are.
 
 namespace fastcast::net {
 
 /// CPUs available to this process (affinity-mask aware, so a container
 /// limited to 2 of the host's 64 cores reports 2). Always >= 1.
 int online_cpu_count();
-
-/// Pins the calling thread to one allowed CPU, chosen by `index` modulo the
-/// allowed set (shard i passes i, so shards spread round-robin across
-/// whatever CPUs the process actually has). Returns false when the kernel
-/// refuses; the caller should carry on unpinned.
-bool pin_current_thread(int index);
 
 }  // namespace fastcast::net

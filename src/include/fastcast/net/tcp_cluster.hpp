@@ -28,15 +28,19 @@ class StorageManager;
 
 namespace net {
 
+/// Single-value leftover of the removed transport-engine choice: the
+/// end-to-end benchmark (perfbench/tcp_workload.cpp) still sets
+/// TcpCluster::Config::backend. Nothing reads it; it goes with the next
+/// change to that benchmark.
+enum class BackendKind { kPoll };
+
 class TcpCluster {
  public:
   struct Config {
     Membership membership;
     std::uint16_t base_port = 17400;
     int poll_interval_ms = 2;
-    /// Event engine for every node's transport (kAuto = io_uring when the
-    /// kernel supports it, else poll).
-    BackendKind backend = BackendKind::kPoll;
+    BackendKind backend = BackendKind::kPoll;  ///< unused, see BackendKind
     /// Optional run-wide metrics/tracing bundle shared by all node threads
     /// (instruments are thread-safe). Must outlive the cluster.
     obs::Observability* observability = nullptr;

@@ -1,17 +1,18 @@
 #pragma once
 
+#include <poll.h>
+
 #include <chrono>
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "fastcast/common/codec.hpp"
 #include "fastcast/common/rng.hpp"
+#include "fastcast/common/time.hpp"
 #include "fastcast/net/frame.hpp"
-#include "fastcast/net/transport_backend.hpp"
 #include "fastcast/runtime/ids.hpp"
 
 namespace fastcast::obs {
@@ -32,14 +33,11 @@ class Gauge;
 ///     pooled buffers; flush() drains a whole queue with one gather-write
 ///     syscall (sendmsg with an iovec per frame — writev-style coalescing
 ///     plus MSG_NOSIGNAL), so N frames cost one syscall, not N.
-///   * The event engine is pluggable (TransportOptions::backend): the
-///     poll(2) backend keeps its cached pollfd array, rebuilt only when
-///     the connection set changes (accept/drop); the io_uring backend
-///     batches every armed receive and readiness re-arm into one
-///     io_uring_enter per wait cycle.
-///   * Inbound reads land directly in each peer's FrameParser arena
-///     (recv_buffer/commit, armed through the backend) — no intermediate
-///     stack buffer copy.
+///   * The wait is one ppoll(2) over a cached pollfd array, rebuilt only
+///     when the connection set changes (listen/accept/drop), never per
+///     wait.
+///   * Each readable connection costs one recv(2), straight into its
+///     FrameParser arena (recv_buffer/commit) — no intermediate copy.
 /// Writes still block on localhost-scale deployments.
 ///
 /// Failure handling: frames for an unreachable peer stay queued, and the
@@ -74,28 +72,11 @@ struct RetryPolicy {
   int max_attempts = 0;
 };
 
-/// Construction-time knobs orthogonal to retry behaviour.
-struct TransportOptions {
-  /// Event-engine selection; kAuto resolves to io_uring when the kernel
-  /// supports it and falls back to poll(2) otherwise. kPoll is the default
-  /// so existing single-threaded deployments are bit-for-bit unchanged.
-  BackendKind backend = BackendKind::kPoll;
-  /// How long listen() retries bind() on EADDRINUSE. The retry exists for
-  /// one reason: io_uring's deferred ring-exit work can hold a just-closed
-  /// listen socket's last file reference a few ms past close(), so
-  /// back-to-back restarts on a fixed port need a grace window. -1 (auto)
-  /// scopes the retry to exactly that case — 500ms on the uring backend,
-  /// 0 on poll so a genuine port conflict fails fast instead of hanging
-  /// half a second. Set explicitly to override either way.
-  int bind_retry_ms = -1;
-};
-
 class TcpTransport {
  public:
   using ReceiveFn = std::function<void(NodeId from, const Message& msg)>;
 
-  TcpTransport(NodeId self, AddressBook addresses,
-               TransportOptions options = {});
+  TcpTransport(NodeId self, AddressBook addresses);
   ~TcpTransport();
 
   TcpTransport(const TcpTransport&) = delete;
@@ -129,38 +110,15 @@ class TcpTransport {
   /// Bytes queued but not yet handed to the kernel (all peers).
   std::size_t pending_bytes() const;
 
-  /// Flushes queued output, then accepts/reads once with the given
-  /// timeout; dispatches every complete inbound message. Returns the
-  /// number of messages dispatched.
-  std::size_t poll_once(int timeout_ms);
+  /// Flushes queued output, then waits up to `timeout` (0 = non-blocking
+  /// probe; sub-millisecond timeouts are honoured) and accepts/reads once;
+  /// dispatches every complete inbound message. Returns the number of
+  /// messages dispatched.
+  std::size_t poll_once(Duration timeout);
 
   void close_all();
 
   NodeId self() const { return self_; }
-
-  /// The event engine actually in use ("poll" or "uring") — kAuto and
-  /// unsupported-kernel fallback both resolve at construction.
-  const char* backend_name() const;
-
-  /// Adopts an already-accepted, hello-complete inbound connection (the
-  /// sharded runtime's acceptor hands fds to the owning shard this way).
-  /// The transport takes ownership of fd and attributes its frames to
-  /// `peer`.
-  void adopt_inbound(int fd, NodeId peer);
-
-  /// Registers an auxiliary fd (eventfd, listen socket owned by a router):
-  /// `cb` runs from poll_once whenever it turns readable. The caller keeps
-  /// ownership of the fd and must unwatch before closing it.
-  void watch_fd(int fd, std::function<void()> cb);
-  void unwatch_fd(int fd);
-
-  /// Consulted once per inbound connection, right after its hello frame
-  /// identifies the peer. Returning true transfers ownership of fd to the
-  /// router (the transport forgets it without closing); returning false
-  /// keeps the connection here. The sharded runtime uses this to move
-  /// accepted connections to the shard that owns the peer.
-  using HelloRouter = std::function<bool(int fd, NodeId peer)>;
-  void set_hello_router(HelloRouter fn) { hello_router_ = std::move(fn); }
 
   /// Degradation counters (also exported through set_observability).
   struct Stats {
@@ -168,7 +126,6 @@ class TcpTransport {
     std::uint64_t connect_failures = 0;  ///< failed connect attempts
     std::uint64_t disconnects = 0;       ///< established connections lost
     std::uint64_t tx_frames_dropped = 0;  ///< frames shed (overflow/budget)
-    std::uint64_t listen_retries = 0;  ///< EADDRINUSE bind retries in listen()
   };
   const Stats& stats() const { return stats_; }
 
@@ -208,8 +165,7 @@ class TcpTransport {
   void drop(int fd);
   void accept_one();
   void handle_hello(Peer& peer);
-  std::size_t handle_recv(Peer& peer, ssize_t n);
-  void arm_peer_recv(Peer& peer);
+  std::size_t handle_recv(Peer& peer);
   bool write_pending(Outbound& ob);           ///< false = connection died
   void advance_written(Outbound& ob, std::size_t n);
   /// Applies a queued-bytes change (signed) to the running total and
@@ -218,14 +174,10 @@ class TcpTransport {
 
   NodeId self_;
   AddressBook addresses_;
-  TransportOptions options_;
   RetryPolicy retry_;
-  std::unique_ptr<TransportBackend> backend_;
   int listen_fd_ = -1;
   std::map<NodeId, Outbound> outbound_;  // node → connection + queue
   std::map<int, Peer> inbound_;          // fd → peer state
-  std::map<int, std::function<void()>> watched_;  // aux fds (watch_fd)
-  HelloRouter hello_router_;
   ReceiveFn receive_;
   BufferPool pool_;  ///< recycles frame buffers across sends
   Rng rng_;          ///< backoff jitter
@@ -234,14 +186,15 @@ class TcpTransport {
   obs::Counter* c_connect_failures_ = nullptr;
   obs::Counter* c_disconnects_ = nullptr;
   obs::Counter* c_tx_dropped_ = nullptr;
-  obs::Counter* c_listen_retries_ = nullptr;
   obs::Gauge* g_tx_queued_ = nullptr;
   obs::Gauge* g_tx_queued_hwm_ = nullptr;
   /// Incremental sum of every peer's queued_bytes (kept so gauge updates
   /// are O(1) on the send hot path, not a map walk).
   std::size_t total_queued_ = 0;
 
-  std::vector<TransportBackend::Event> events_;  ///< reused per poll_once
+  /// listen_fd_ plus every inbound fd; rebuilt only when pollfds_dirty_.
+  std::vector<pollfd> pollfds_;
+  bool pollfds_dirty_ = true;
 };
 
 }  // namespace fastcast::net

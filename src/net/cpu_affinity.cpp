@@ -1,42 +1,15 @@
 #include "fastcast/net/cpu_affinity.hpp"
 
-#include <pthread.h>
 #include <sched.h>
-
-#include <vector>
 
 namespace fastcast::net {
 
-namespace {
-
-/// CPUs the process is allowed on, in ascending order. Empty when the
-/// affinity syscall itself fails (treat as "pinning unsupported").
-std::vector<int> allowed_cpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (::sched_getaffinity(0, sizeof set, &set) != 0) return {};
-  std::vector<int> cpus;
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
-  }
-  return cpus;
-}
-
-}  // namespace
-
 int online_cpu_count() {
-  const auto cpus = allowed_cpus();
-  return cpus.empty() ? 1 : static_cast<int>(cpus.size());
-}
-
-bool pin_current_thread(int index) {
-  const auto cpus = allowed_cpus();
-  if (cpus.empty() || index < 0) return false;
-  const int cpu = cpus[static_cast<std::size_t>(index) % cpus.size()];
   cpu_set_t set;
   CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return ::pthread_setaffinity_np(::pthread_self(), sizeof set, &set) == 0;
+  if (::sched_getaffinity(0, sizeof set, &set) != 0) return 1;
+  const int n = CPU_COUNT(&set);
+  return n > 0 ? n : 1;
 }
 
 }  // namespace fastcast::net

@@ -1,5 +1,6 @@
 #include "fastcast/net/tcp_cluster.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "fastcast/common/assert.hpp"
@@ -25,8 +26,7 @@ class TcpCluster::NodeRuntime final : public Context {
               std::uint64_t seed)
       : cluster_(cluster),
         self_(self),
-        transport_(self, addresses,
-                   TransportOptions{cluster->config_.backend}),
+        transport_(self, addresses),
         rng_(seed) {
     transport_.set_receive([this](NodeId from, const Message& msg) {
       if (c_received_) c_received_->inc();
@@ -79,16 +79,10 @@ class TcpCluster::NodeRuntime final : public Context {
     }
     while (running.load(std::memory_order_relaxed) &&
            active_.load(std::memory_order_relaxed)) {
-      int timeout = poll_interval_ms;
+      Duration timeout = milliseconds(poll_interval_ms);
       Time due = 0;
       if (timers_.next_due(due)) {
-        const Duration until = due - now();
-        if (until <= 0) {
-          timeout = 0;
-        } else {
-          timeout = static_cast<int>(
-              std::min<Duration>(until / kMillisecond + 1, poll_interval_ms));
-        }
+        timeout = std::clamp<Duration>(due - now(), 0, timeout);
       }
       transport_.poll_once(timeout);
       timers_.fire_due(now());

@@ -9,7 +9,7 @@
 
 namespace fastcast::sim {
 
-/// Per-node Context implementation. Sends issued during a handler are
+/// Per-node Context implementation. Sends issued within a handler are
 /// buffered and flushed when the handler's CPU slice ends, so departure
 /// times reflect processing cost.
 class Simulator::NodeContext final : public Context {

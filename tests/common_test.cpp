@@ -129,10 +129,9 @@ TEST(Codec, VarintBoundaries) {
   }
 }
 
-/// Pins the exact LEB128 byte sequences. The writer/reader fast paths
-/// (1-byte and 2-byte early exits, the unrolled >=10-bytes-remaining
-/// decoder) must stay byte-identical to the canonical encoding — any
-/// deviation is a wire-format break, not a perf tweak.
+/// Pins the exact LEB128 byte sequences. Writer and Reader must stay
+/// byte-identical to the canonical encoding — any deviation is a
+/// wire-format break, not a perf tweak.
 TEST(Codec, VarintGoldenBytes) {
   struct Golden {
     std::uint64_t value;
@@ -141,11 +140,11 @@ TEST(Codec, VarintGoldenBytes) {
   const std::vector<Golden> goldens = {
       {0, {0x00}},
       {1, {0x01}},
-      {127, {0x7f}},                          // 1-byte fast-path boundary
+      {127, {0x7f}},                          // last 1-byte value
       {128, {0x80, 0x01}},                    // first 2-byte value
       {300, {0xac, 0x02}},
-      {16383, {0xff, 0x7f}},                  // 2-byte fast-path boundary
-      {16384, {0x80, 0x80, 0x01}},            // first scratch-buffer value
+      {16383, {0xff, 0x7f}},                  // last 2-byte value
+      {16384, {0x80, 0x80, 0x01}},            // first 3-byte value
       {0xffffffffULL, {0xff, 0xff, 0xff, 0xff, 0x0f}},
       {1ULL << 63, {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
                     0x01}},
@@ -160,40 +159,40 @@ TEST(Codec, VarintGoldenBytes) {
       EXPECT_EQ(static_cast<std::uint8_t>(w.data()[i]), g.wire[i])
           << "value " << g.value << " byte " << i;
     }
-    // Decode via the unrolled path (pad so >=10 bytes remain)...
+    // Decode with trailing bytes after the value...
     std::vector<std::byte> padded(w.data().begin(), w.data().end());
     padded.resize(padded.size() + 10);
-    Reader fast(padded);
-    EXPECT_EQ(fast.varint(), g.value);
-    EXPECT_TRUE(fast.ok());
-    // ...and via the tail path (exact-size buffer, per-byte checks).
-    Reader slow(w.data());
-    EXPECT_EQ(slow.varint(), g.value);
-    EXPECT_TRUE(slow.ok());
+    Reader trailing(padded);
+    EXPECT_EQ(trailing.varint(), g.value);
+    EXPECT_TRUE(trailing.ok());
+    // ...and from an exact-size buffer that ends with the value.
+    Reader exact(w.data());
+    EXPECT_EQ(exact.varint(), g.value);
+    EXPECT_TRUE(exact.ok());
   }
 }
 
 TEST(Codec, VarintRejectsOverlongOnBothDecodePaths) {
-  // 11 continuation-flagged bytes: invalid however many bytes remain.
+  // 11 continuation-flagged bytes: an 11th byte would need shift > 63, so
+  // the value is invalid even though a terminator follows.
   std::vector<std::byte> overlong(11, std::byte{0xff});
   overlong.push_back(std::byte{0x00});
-  Reader fast(overlong);  // >= 10 remaining: unrolled path
-  fast.varint();
-  EXPECT_FALSE(fast.ok());
+  Reader over(overlong);
+  over.varint();
+  EXPECT_FALSE(over.ok());
 
+  // A buffer that ends on a continuation byte.
   std::vector<std::byte> truncated(3, std::byte{0x80});
-  Reader tail(truncated);  // < 10 remaining: slow path, runs off the end
-  tail.varint();
-  EXPECT_FALSE(tail.ok());
+  Reader cut(truncated);
+  cut.varint();
+  EXPECT_FALSE(cut.ok());
 }
 
 // ---------------------------------------------------------------------------
-// Adversarial varint fuzzing. Reader::varint has three routes — the 1-byte
-// fast path, the bounds-check-free unrolled decoder (>=10 bytes remaining)
-// and the per-byte tail loop — which must accept/reject exactly the same
-// byte strings with the same value and consumed length. The oracle below is
-// a third, deliberately naive LEB128 decoder written straight from the spec,
-// so a shared bug in the two production paths still gets caught.
+// Adversarial varint fuzzing. Reader::varint must accept/reject exactly the
+// byte strings a deliberately naive LEB128 decoder written straight from the
+// spec does, with the same value and consumed length, and its result must
+// not depend on what trails the value in the buffer.
 
 struct VarintOracle {
   std::uint64_t value = 0;
@@ -227,27 +226,27 @@ TEST(Codec, VarintFuzzRoundTripBothPaths) {
     if (bits < 64) v &= (1ULL << bits) - 1;
     Writer w;
     w.varint(v);
-    // Exact-size buffer: multi-byte values take the per-byte tail loop.
-    Reader tail(w.data());
-    ASSERT_EQ(tail.varint(), v);
-    ASSERT_TRUE(tail.ok());
-    ASSERT_TRUE(tail.at_end());
-    // Adversarial 0xff padding (continuation bit everywhere): the unrolled
-    // path must stop at the value's own terminator, never read on.
+    // Exact-size buffer: the value ends the input.
+    Reader exact(w.data());
+    ASSERT_EQ(exact.varint(), v);
+    ASSERT_TRUE(exact.ok());
+    ASSERT_TRUE(exact.at_end());
+    // Adversarial 0xff padding (continuation bit everywhere): the decoder
+    // must stop at the value's own terminator, never read on.
     std::vector<std::byte> padded(w.data().begin(), w.data().end());
     padded.resize(padded.size() + 10, std::byte{0xff});
-    Reader fast(padded);
-    ASSERT_EQ(fast.varint(), v);
-    ASSERT_TRUE(fast.ok());
-    ASSERT_EQ(fast.remaining(), 10u);
+    Reader trailing(padded);
+    ASSERT_EQ(trailing.varint(), v);
+    ASSERT_TRUE(trailing.ok());
+    ASSERT_EQ(trailing.remaining(), 10u);
   }
 }
 
 TEST(Codec, VarintFuzzRandomBytesMatchOracle) {
   Rng rng(0xfacade);
   for (int iter = 0; iter < 20000; ++iter) {
-    // Continuation-biased bytes reach the deep unroll tiers far more often
-    // than uniform bytes would (a uniform byte terminates half the time).
+    // Continuation-biased bytes reach long encodings far more often than
+    // uniform bytes would (a uniform byte terminates half the time).
     const auto len = static_cast<std::size_t>(1 + rng.uniform(14));
     std::vector<std::byte> buf(len);
     for (auto& slot : buf) {
@@ -256,14 +255,14 @@ TEST(Codec, VarintFuzzRandomBytesMatchOracle) {
       slot = std::byte{b};
     }
     const VarintOracle want = reference_varint(buf);
-    Reader r(buf);  // len >= 10 takes the unrolled path, < 10 the tail loop
+    Reader r(buf);
     const std::uint64_t got = r.varint();
     ASSERT_EQ(r.ok(), want.ok) << "len " << len;
     if (!want.ok) continue;
     ASSERT_EQ(got, want.value);
     ASSERT_EQ(buf.size() - r.remaining(), want.consumed);
     // The same logical bytes must decode identically however much trails
-    // them: exact size (tail loop) vs >=10 spare bytes (unrolled).
+    // them: exact size vs 10 spare bytes.
     std::vector<std::byte> exact(buf.begin(),
                                  buf.begin() + static_cast<std::ptrdiff_t>(
                                                    want.consumed));
@@ -287,15 +286,15 @@ TEST(Codec, VarintFuzzBoundaryTruncations) {
     const auto& wire = w.data();
     for (std::size_t k = 0; k < wire.size(); ++k) {
       // Every proper prefix ends on a continuation byte. The exact-size
-      // reader (tail loop) must fail cleanly...
+      // reader must fail cleanly...
       std::vector<std::byte> prefix(wire.begin(),
                                     wire.begin() + static_cast<std::ptrdiff_t>(k));
       Reader t(prefix);
       t.varint();
       ASSERT_FALSE(t.ok()) << "prefix " << k << " of " << wire.size();
-      // ...while the same prefix with garbage appended (unrolled path once
-      // >=10 bytes remain) must agree with the oracle byte-for-byte —
-      // whether that means failing or decoding a different value.
+      // ...while the same prefix with garbage appended must agree with the
+      // oracle byte-for-byte — whether that means failing or decoding a
+      // different value.
       prefix.resize(k + 11);
       for (std::size_t i = k; i < prefix.size(); ++i) {
         prefix[i] = std::byte{static_cast<std::uint8_t>(rng.next())};

@@ -314,7 +314,7 @@ TEST(ReliableMulticastFrames, InOrderFrameIsDeliveredInPlace) {
   RmNode node;
   for (std::uint64_t seq = 1; seq <= 3; ++seq) {
     EXPECT_TRUE(node.rm.handle(ctx, 6, frame_from_client(seq)));
-    // Delivered during the handler, nothing parked.
+    // Delivered within the handler, nothing parked.
     EXPECT_EQ(node.deliveries.size(), seq);
     EXPECT_EQ(node.rm.holdback_size(), 0u);
     EXPECT_EQ(node.rm.next_expected_from(6), seq + 1);
