@@ -79,6 +79,8 @@ void DeliveryBuffer::add_entry(Context& ctx, EntryKind kind, GroupId group,
   for (const Entry& e : pm.entries) {
     if (e.kind == kind && e.group == group) return;  // duplicate
   }
+  // At most: own pending hard, plus a soft and a hard entry per destination.
+  if (pm.entries.empty()) pm.entries.reserve(2 * pm.dst.size() + 1);
   pm.entries.push_back(Entry{kind, group, ts});
   blocking_.insert(TsKey{ts, mid});
   if (auto* o = ctx.obs()) {

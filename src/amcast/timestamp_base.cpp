@@ -42,7 +42,10 @@ TimestampProtocolBase::TimestampProtocolBase(Config config, NodeId self)
 
   buffer_.set_deliver([this](Context& ctx, const MulticastMessage& msg) {
     deliver(ctx, msg);  // appends the kDelivered record before any settle
-    settle_note_delivered(msg.id);
+    while (!settle_pins_.empty() &&
+           buffer_.was_delivered(settle_pins_.front().second)) {
+      settle_pins_.pop_front();
+    }
   });
 
   cons_.set_settled_provider([this] {
@@ -59,7 +62,6 @@ void TimestampProtocolBase::restore_durable(const storage::DurableState& durable
     // The learner resumes at the durable settled frontier; instances below
     // it are never replayed, so CH must jump to the recorded clock bound or
     // a recovered leader could assign regressed hard timestamps.
-    settle_frontier_ = it->second.settled;
     ch_ = std::max<Ts>(ch_, it->second.settled_clock);
   }
   rm_.restore(durable);
@@ -105,8 +107,7 @@ bool TimestampProtocolBase::handle(Context& ctx, NodeId from, const Message& msg
 
 void TimestampProtocolBase::stage(Context& ctx, Tuple tuple) {
   const TupleId id = id_of(tuple);
-  if (known_.contains(id)) return;
-  known_.insert(id);
+  if (known(id)) return;
   staged_.push_back(id);
   unordered_.emplace(id, std::move(tuple));
   flush(ctx);
@@ -114,8 +115,7 @@ void TimestampProtocolBase::stage(Context& ctx, Tuple tuple) {
 
 void TimestampProtocolBase::track_deferred(Tuple tuple) {
   const TupleId id = id_of(tuple);
-  if (known_.contains(id)) return;
-  known_.insert(id);
+  if (known(id)) return;
   unordered_.emplace(id, std::move(tuple));
 }
 
@@ -127,7 +127,6 @@ void TimestampProtocolBase::promote_deferred(Context& ctx, const TupleId& id) {
 
 void TimestampProtocolBase::mark_ordered_out_of_band(const TupleId& id) {
   FC_ASSERT(!ordered_.contains(id));
-  known_.insert(id);
   ordered_.insert(id);
   unordered_.erase(id);
 }
@@ -139,7 +138,10 @@ const Tuple* TimestampProtocolBase::find_unordered(const TupleId& id) const {
 
 void TimestampProtocolBase::flush(Context& ctx) {
   if (staged_.empty()) return;
-  if (!cons_.is_leader(ctx)) return;
+  if (!cons_.is_leader(ctx)) {
+    staged_.clear();  // restage_all rebuilds it if this node takes over
+    return;
+  }
   if (!cons_.window_open()) return;  // batch: accumulate until a slot frees
 
   std::vector<Tuple> batch;
@@ -193,7 +195,6 @@ void TimestampProtocolBase::on_decide(Context& ctx, InstanceId inst,
       proposed_at_.pop_front();
     }
   }
-  settle_frontier_ = std::max(settle_frontier_, inst + 1);
   if (value.empty()) {
     flush(ctx);  // no-op gap filler from a leader change
     return;
@@ -211,25 +212,10 @@ void TimestampProtocolBase::on_decide(Context& ctx, InstanceId inst,
   // including tuples skipped above (a post-restart replay has an empty
   // Ordered set and would re-apply them).
   for (const Tuple& t : tuples) {
-    if (buffer_.was_delivered(t.mid)) continue;
-    if (settle_pending_[inst].insert(t.mid).second) {
-      settle_waiters_[t.mid].push_back(inst);
-    }
+    if (!buffer_.was_delivered(t.mid)) settle_pins_.emplace_back(inst, t.mid);
   }
   buffer_.try_deliver(ctx);
   flush(ctx);  // the decision freed a pipeline slot
-}
-
-void TimestampProtocolBase::settle_note_delivered(MsgId mid) {
-  const auto it = settle_waiters_.find(mid);
-  if (it == settle_waiters_.end()) return;
-  for (InstanceId inst : it->second) {
-    const auto p = settle_pending_.find(inst);
-    if (p == settle_pending_.end()) continue;
-    p->second.erase(mid);
-    if (p->second.empty()) settle_pending_.erase(p);
-  }
-  settle_waiters_.erase(it);
 }
 
 void TimestampProtocolBase::handle_set_hard(Context& ctx, const Tuple& tuple) {

@@ -3,7 +3,6 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "fastcast/amcast/atomic_multicast.hpp"
@@ -78,11 +77,13 @@ class TimestampProtocolBase : public AtomicMulticast {
   /// only touches locally delivered messages, so replaying it against the
   /// durable delivered set is a provable no-op and recovery may skip it.
   InstanceId settled_frontier() const {
-    return settle_pending_.empty() ? settle_frontier_
-                                   : settle_pending_.begin()->first;
+    return settle_pins_.empty() ? cons_.learner().next_to_deliver()
+                                : settle_pins_.front().first;
   }
 
   std::size_t unordered_count() const { return unordered_.size(); }
+  std::size_t staged_count() const { return staged_.size(); }
+  std::size_t settle_pin_count() const { return settle_pins_.size(); }
   paxos::GroupConsensus& consensus() { return cons_; }
   /// Overload detector (tests / diagnostics).
   const flow::OverloadController& overload() const { return overload_; }
@@ -112,7 +113,10 @@ class TimestampProtocolBase : public AtomicMulticast {
 
   /// Queues a previously deferred tuple for proposal (soft/hard mismatch).
   void promote_deferred(Context& ctx, const TupleId& id);
-  bool known(const TupleId& id) const { return known_.contains(id); }
+  /// Ordered ∪ ToOrder.
+  bool known(const TupleId& id) const {
+    return ordered_.contains(id) || unordered_.contains(id);
+  }
   bool is_ordered(const TupleId& id) const { return ordered_.contains(id); }
 
   /// Marks a tuple ordered outside the decision stream (FastCast Task 6).
@@ -143,10 +147,8 @@ class TimestampProtocolBase : public AtomicMulticast {
   void on_decide(Context& ctx, InstanceId inst, const std::vector<std::byte>& value);
   void restage_all(Context& ctx);
   void arm_repropose(Context& ctx);
-  void settle_note_delivered(MsgId mid);
   void maybe_advise(Context& ctx, const MulticastMessage& msg);
 
-  std::set<TupleId> known_;            // ever staged (ToOrder ∪ Ordered)
   std::set<TupleId> ordered_;          // Ordered
   std::map<TupleId, Tuple> unordered_;  // ToOrder \ Ordered
   std::vector<TupleId> staged_;        // to include in the next proposal
@@ -155,10 +157,10 @@ class TimestampProtocolBase : public AtomicMulticast {
   /// Settled tracking: an instance is settled once every message its
   /// tuples touch is locally delivered (the delivered-set dedup then makes
   /// every replayed side effect a no-op; CH advancement is covered by the
-  /// settled-clock record).
-  InstanceId settle_frontier_ = 0;  ///< next instance past contiguous decides
-  std::map<InstanceId, std::set<MsgId>> settle_pending_;
-  std::unordered_map<MsgId, std::vector<InstanceId>> settle_waiters_;
+  /// settled-clock record). One (instance, mid) pin per decided tuple
+  /// whose message was undelivered, in decision order, popped from the
+  /// front once delivered: the front pin is the oldest unsettled instance.
+  std::deque<std::pair<InstanceId, MsgId>> settle_pins_;
   bool repropose_armed_ = false;
   Context* decide_ctx_ = nullptr;  ///< bound at on_start
 

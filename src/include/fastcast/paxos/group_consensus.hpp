@@ -105,6 +105,7 @@ class GroupConsensus {
                        const std::vector<std::byte>& value);
 
   Learner& learner() { return learner_; }
+  const Learner& learner() const { return learner_; }
   Proposer& proposer() { return proposer_; }
   Acceptor& acceptor() { return acceptor_; }
   LeaderElector& elector() { return elector_; }

@@ -1,8 +1,9 @@
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "fastcast/runtime/context.hpp"
@@ -11,16 +12,18 @@
 /// Paxos learner: counts P2b votes per (instance, ballot) and emits decided
 /// values strictly in instance order. Because all P2b votes for one ballot
 /// carry the same value (Paxos invariant), counting distinct acceptors per
-/// ballot suffices; the value is taken from the first vote seen. One
-/// exception: a vote at the reserved round-0 sentinel ballot reports a
-/// repair-installed value, which is decided by construction and decides
-/// immediately without a quorum (see Acceptor::install).
+/// ballot suffices, and the vote that completes the quorum hands on its
+/// own value: none is stored. One exception: a vote at the reserved
+/// round-0 sentinel ballot reports a repair-installed value, which is
+/// decided by construction and decides immediately without a quorum (see
+/// Acceptor::install).
 
 namespace fastcast::paxos {
 
 class Learner {
  public:
-  Learner(std::size_t quorum) : quorum_(quorum) {}
+  /// A majority of `acceptors` (the group's members, at most 64) decides.
+  explicit Learner(std::vector<NodeId> acceptors);
 
   /// Ordered decision upcall: invoked with instances 0, 1, 2, ... exactly
   /// once each, with no gaps.
@@ -29,8 +32,7 @@ class Learner {
 
   /// Raw decision observer (any order, once per instance) — used by the
   /// proposer to free its pipeline window.
-  using DecidedObserverFn = std::function<void(InstanceId, const std::vector<std::byte>&)>;
-  void set_decided_observer(DecidedObserverFn fn) { observer_ = std::move(fn); }
+  void set_decided_observer(DecideFn fn) { observer_ = std::move(fn); }
 
   void on_p2b(Context& ctx, const P2b& msg);
 
@@ -51,23 +53,25 @@ class Learner {
     return i < next_deliver_ || decided_.contains(i);
   }
   std::size_t undelivered_gap_count() const { return decided_.size(); }
+  std::size_t vote_window_size() const { return window_.size(); }
 
  private:
-  struct VoteState {
-    Ballot ballot;                 // highest ballot with votes so far
-    std::set<NodeId> voters;       // acceptors voting at `ballot`
-    std::vector<std::byte> value;  // value at `ballot`
+  struct VoteSlot {
+    Ballot ballot;             // highest ballot with votes so far
+    std::uint64_t voters = 0;  // bit i: acceptors_[i] voted at `ballot`
   };
 
   /// Hands a decision for next_deliver_ to decide_ (then any parked
-  /// successors it unblocks); parks one that arrived ahead of a gap.
-  void decided(Context& ctx, InstanceId inst, std::vector<std::byte> value);
-  void drain(Context& ctx);
+  /// successors it unblocks); parks a copy of one that arrived ahead of a
+  /// gap.
+  void decided(InstanceId inst, const std::vector<std::byte>& value);
 
+  std::vector<NodeId> acceptors_;
   std::size_t quorum_;
   DecideFn decide_;
-  DecidedObserverFn observer_;
-  std::map<InstanceId, VoteState> votes_;
+  DecideFn observer_;
+  /// window_[k] tallies instance next_deliver_ + k; popped as it advances.
+  std::deque<VoteSlot> window_;
   /// Decisions that arrived ahead of next_deliver_; an in-order decision
   /// goes straight to decide_.
   std::map<InstanceId, std::vector<std::byte>> decided_;

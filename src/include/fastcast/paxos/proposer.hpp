@@ -56,8 +56,6 @@ class Proposer {
   void set_round_floor(std::uint32_t round) { round_floor_ = round; }
 
   void resign() { phase_ = Phase::kIdle; }
-  bool is_leading() const { return phase_ == Phase::kSteady; }
-  bool is_preparing() const { return phase_ == Phase::kPrepare; }
 
   /// Queues a value; it is sent as soon as the pipeline window allows.
   void propose(Context& ctx, std::vector<std::byte> value);

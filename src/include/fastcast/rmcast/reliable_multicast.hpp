@@ -61,12 +61,6 @@ class ReliableMulticast {
       std::function<void(Context&, NodeId origin, const AmcastPayload&)>;
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
-  /// Enables relaying only on nodes where `relay_if` returns true (e.g. the
-  /// group leader); unset means the RmConfig::relay policy applies as-is.
-  void set_relay_predicate(std::function<bool()> pred) {
-    relay_pred_ = std::move(pred);
-  }
-
   /// r-multicast(inner) to every member of every group in `dst`.
   void multicast(Context& ctx, GroupSet dst, AmcastPayload inner);
 
@@ -91,7 +85,6 @@ class ReliableMulticast {
 
   // Introspection for tests.
   std::size_t holdback_size() const;
-  std::size_t unacked_count() const { return unacked_.size(); }
   std::uint64_t next_expected_from(NodeId origin) const {
     auto it = origins_.find(origin);
     return it == origins_.end() ? 1 : it->second.next_expected;
@@ -112,7 +105,6 @@ class ReliableMulticast {
 
   RmConfig config_;
   DeliverFn deliver_;
-  std::function<bool()> relay_pred_;
 
   // Sender side.
   struct Staged {

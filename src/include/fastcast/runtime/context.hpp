@@ -70,14 +70,6 @@ class Context {
 
   GroupId my_group() const { return membership().group_of(self()); }
 
-  void send_to_group(GroupId g, const Message& msg) {
-    for (NodeId n : membership().members(g)) send(n, msg);
-  }
-
-  void send_to_nodes(const std::vector<NodeId>& nodes, const Message& msg) {
-    for (NodeId n : nodes) send(n, msg);
-  }
-
   // Observability -----------------------------------------------------------
 
   /// Run-wide metrics/tracing bundle, or null when observability is off.

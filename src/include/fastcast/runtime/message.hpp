@@ -51,7 +51,6 @@ struct MulticastMessage {
   /// (both are emitted whenever either is set, so the pair stays ordered).
   Time sent_at = 0;
 
-  bool is_global() const { return dst.size() > 1; }
   friend bool operator==(const MulticastMessage&, const MulticastMessage&) = default;
 };
 

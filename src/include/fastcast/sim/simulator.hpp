@@ -146,11 +146,6 @@ class Simulator {
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t messages_dropped() const { return messages_dropped_; }
 
-  /// Largest number of simultaneously pending events observed so far (also
-  /// exported as the "sim.event_queue.high_water" gauge when observability
-  /// is attached).
-  std::size_t event_queue_high_water() const { return queue_.high_water_mark(); }
-
   /// Context of a node, e.g. for tests that poke protocol objects directly.
   Context& context(NodeId node);
 

@@ -18,7 +18,7 @@ GroupConsensus::GroupConsensus(Config config, NodeId self)
     : config_(std::move(config)),
       self_(self),
       acceptor_(config_.group, all_learners(config_)),
-      learner_(config_.members.size() / 2 + 1),
+      learner_(config_.members),
       proposer_(Proposer::Config{
           .group = config_.group,
           .acceptors = config_.members,

@@ -38,6 +38,25 @@ TEST(TimerHeap, FiresInDeadlineOrderAndSkipsCancelled) {
   EXPECT_TRUE(heap.empty());
 }
 
+TEST(TimerHeap, StaleIdNeverCancelsTheTimerReusingItsSlot) {
+  TimerHeap heap;
+  std::vector<int> fired;
+  const TimerId first = heap.schedule(10, [&] { fired.push_back(1); });
+  heap.cancel(first);
+  const TimerId second = heap.schedule(10, [&] { fired.push_back(2); });
+  EXPECT_NE(first, second);
+  heap.cancel(first);  // stale: its slot now holds `second`
+  EXPECT_EQ(heap.armed(), 1u);
+  EXPECT_EQ(heap.fire_due(10), 1u);
+  heap.cancel(second);  // already fired
+  const TimerId third = heap.schedule(5, [&] { fired.push_back(3); });
+  const TimerId fourth = heap.schedule(5, [&] { fired.push_back(4); });
+  EXPECT_LT(third, fourth);  // equal deadlines fire in scheduling order
+  EXPECT_EQ(heap.fire_due(5), 2u);
+  EXPECT_EQ(fired, (std::vector<int>{2, 3, 4}));
+  EXPECT_TRUE(heap.empty());
+}
+
 TEST(TimerHeap, CallbacksMayRescheduleReentrantly) {
   TimerHeap heap;
   int chain = 0;

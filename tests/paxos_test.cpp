@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
 
 #include "fastcast/paxos/group_consensus.hpp"
 #include "fastcast/sim/simulator.hpp"
@@ -284,7 +286,7 @@ TEST(Learner, IgnoresStaleBallotVotesAndDuplicates) {
   Simulator sim(m, std::make_unique<ConstantLatency>(1), {});
   class Script : public Process {
    public:
-    Learner learner{2};
+    Learner learner{{0, 1, 2}};
     std::vector<InstanceId> decided;
     void on_start(Context& ctx) override {
       learner.set_decide([this](InstanceId i, const std::vector<std::byte>&) {
@@ -318,7 +320,7 @@ TEST(Learner, RepairSentinelVoteDecidesWithoutQuorum) {
   Simulator sim(m, std::make_unique<ConstantLatency>(1), {});
   class Script : public Process {
    public:
-    Learner learner{2};
+    Learner learner{{0, 1, 2}};
     std::vector<int> decided_values;
     void on_start(Context& ctx) override {
       learner.set_decide([this](InstanceId, const std::vector<std::byte>& v) {
@@ -352,7 +354,7 @@ TEST(Learner, HigherBallotVotesSupersedeLower) {
   Simulator sim(m, std::make_unique<ConstantLatency>(1), {});
   class Script : public Process {
    public:
-    Learner learner{2};
+    Learner learner{{0, 1, 2}};
     std::vector<int> decided_values;
     void on_start(Context& ctx) override {
       learner.set_decide([this](InstanceId, const std::vector<std::byte>& v) {
@@ -555,7 +557,7 @@ TEST(Learner, HoldsGapsUntilFilled) {
   Simulator sim(m, std::make_unique<ConstantLatency>(1), {});
   class Script : public Process {
    public:
-    Learner learner{1};
+    Learner learner{{0}};
     std::vector<InstanceId> decided;
     void on_start(Context& ctx) override {
       learner.set_decide([this](InstanceId i, const std::vector<std::byte>&) {
@@ -584,7 +586,7 @@ TEST(Learner, InOrderAndOutOfOrderDecisionsReachDecideInOrderOnce) {
   Simulator sim(m, std::make_unique<ConstantLatency>(1), {});
   class Script : public Process {
    public:
-    Learner learner{2};
+    Learner learner{{0, 1, 2}};
     std::vector<std::pair<InstanceId, int>> decided;
     void vote(Context& ctx, InstanceId inst, NodeId acceptor) {
       learner.on_p2b(ctx, P2b{0, Ballot{1, 0}, inst, acceptor,
@@ -633,6 +635,122 @@ TEST(Learner, InOrderAndOutOfOrderDecisionsReachDecideInOrderOnce) {
   EXPECT_EQ(script->decided,
             (std::vector<std::pair<InstanceId, int>>{
                 {0, 0}, {1, 10}, {2, 20}, {3, 30}, {4, 40}, {5, 50}}));
+}
+
+/// Drives a Learner by hand from a one-node simulation's context and
+/// records every decision it hands on, in order.
+struct LearnerDriver {
+  explicit LearnerDriver(std::vector<NodeId> acceptors)
+      : learner(std::move(acceptors)) {
+    learner.set_decide([this](InstanceId i, const std::vector<std::byte>& v) {
+      decided.emplace_back(i, value_to_int(v));
+    });
+  }
+  /// Votes carry value 10 × instance unless told otherwise.
+  void vote(InstanceId inst, NodeId acceptor, Ballot ballot = Ballot{1, 0},
+            int value = -1) {
+    if (value < 0) value = static_cast<int>(inst) * 10;
+    learner.on_p2b(sim.context(0),
+                   P2b{0, ballot, inst, acceptor, value_of(value)});
+  }
+
+  Membership membership = [] {
+    Membership m;
+    m.add_group(1, {0});
+    return m;
+  }();
+  Simulator sim{membership, std::make_unique<ConstantLatency>(1), SimConfig{}};
+  Learner learner;
+  std::vector<std::pair<InstanceId, int>> decided;
+};
+
+using Decisions = std::vector<std::pair<InstanceId, int>>;
+
+TEST(Learner, TallyCountsEachMemberOnceAtTheHighestBallot) {
+  // Acceptor ids differ from their positions in the member list.
+  LearnerDriver d({10, 11, 12, 13, 14});  // quorum 3
+  d.vote(0, 14, Ballot{2, 10});
+  d.vote(0, 14, Ballot{2, 10});  // duplicate: counts once
+  d.vote(0, 12, Ballot{2, 10});
+  d.vote(0, 7, Ballot{2, 10});   // not a member: ignored
+  d.vote(0, 10, Ballot{1, 10});  // lower ballot: ignored
+  EXPECT_TRUE(d.decided.empty());
+  // A higher ballot resets the tally: the ballot-2 votes no longer count.
+  d.vote(0, 11, Ballot{3, 11}, 30);
+  d.vote(0, 13, Ballot{3, 11}, 30);
+  d.vote(0, 10, Ballot{2, 10});  // now stale
+  EXPECT_TRUE(d.decided.empty());
+  d.vote(0, 12, Ballot{3, 11}, 30);
+  EXPECT_EQ(d.decided, (Decisions{{0, 30}}));
+  EXPECT_EQ(d.learner.vote_window_size(), 0u);
+}
+
+TEST(Learner, DecisionFarAheadParksThenDrainsInOrder) {
+  LearnerDriver d({0, 1, 2});
+  d.vote(100, 0);
+  d.vote(100, 1);
+  EXPECT_TRUE(d.decided.empty());
+  EXPECT_TRUE(d.learner.is_decided(100));
+  EXPECT_EQ(d.learner.undelivered_gap_count(), 1u);
+  EXPECT_EQ(d.learner.vote_window_size(), 101u);
+  d.vote(100, 2);  // late vote for a parked decision: no effect
+  Decisions expected;
+  for (InstanceId i = 0; i < 100; ++i) {
+    d.vote(i, 1);
+    d.vote(i, 2);
+    expected.emplace_back(i, static_cast<int>(i) * 10);
+  }
+  expected.emplace_back(100, 1000);
+  EXPECT_EQ(d.decided, expected);
+  EXPECT_EQ(d.learner.next_to_deliver(), 101u);
+  EXPECT_EQ(d.learner.undelivered_gap_count(), 0u);
+  EXPECT_EQ(d.learner.vote_window_size(), 0u);
+}
+
+TEST(Learner, SetStartDropsSlotsAndParkedDecisionsBelowStart) {
+  LearnerDriver d({0, 1, 2});
+  for (InstanceId i = 0; i < 10; ++i) d.vote(i, 0);  // one vote each
+  d.vote(3, 1);  // decided ahead of the gap: parked
+  d.vote(8, 1);
+  EXPECT_EQ(d.learner.vote_window_size(), 10u);
+  EXPECT_EQ(d.learner.undelivered_gap_count(), 2u);
+
+  d.learner.set_start(6);
+  EXPECT_EQ(d.learner.next_to_deliver(), 6u);
+  EXPECT_EQ(d.learner.vote_window_size(), 4u);
+  EXPECT_EQ(d.learner.undelivered_gap_count(), 1u);  // 8 survives, 3 does not
+  d.vote(5, 1);  // below the start: already decided
+  EXPECT_TRUE(d.decided.empty());
+  d.vote(6, 1);  // acceptor 0's vote on 6 survived the trim
+  d.vote(7, 2);  // then the parked 8 drains
+  EXPECT_EQ(d.decided, (Decisions{{6, 60}, {7, 70}, {8, 80}}));
+  EXPECT_EQ(d.learner.vote_window_size(), 1u);  // instance 9, one vote
+  d.vote(9, 2);
+  EXPECT_EQ(d.learner.vote_window_size(), 0u);
+}
+
+TEST(Learner, VoteWindowIsEmptyOnceEveryInstanceIsDecided) {
+  // Every acceptor votes on every instance, some twice, in shuffled order.
+  constexpr InstanceId kInstances = 64;
+  LearnerDriver d({0, 1, 2, 3, 4});
+  std::vector<std::pair<InstanceId, NodeId>> votes;
+  for (InstanceId i = 0; i < kInstances; ++i) {
+    for (NodeId a = 0; a < 5; ++a) votes.emplace_back(i, a);
+    votes.emplace_back(i, 0);
+  }
+  std::mt19937 rng(7);
+  std::shuffle(votes.begin(), votes.end(), rng);
+  for (const auto& [inst, acceptor] : votes) {
+    d.vote(inst, acceptor);
+    ASSERT_LE(d.learner.vote_window_size(), kInstances);
+  }
+  Decisions expected;
+  for (InstanceId i = 0; i < kInstances; ++i) {
+    expected.emplace_back(i, static_cast<int>(i) * 10);
+  }
+  EXPECT_EQ(d.decided, expected);
+  EXPECT_EQ(d.learner.vote_window_size(), 0u);
+  EXPECT_EQ(d.learner.undelivered_gap_count(), 0u);
 }
 
 std::unique_ptr<storage::NodeStorage> mem_storage() {
